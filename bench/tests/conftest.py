@@ -1,0 +1,6 @@
+"""The benchmark's modules import each other as top-level modules."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
