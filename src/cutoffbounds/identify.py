@@ -98,27 +98,19 @@ def _canon(sets: Iterable[PairSet]) -> tuple[PairSet, ...]:
 
 
 def union_closure(members: Iterable[PairSet], cap: int = 4096) -> tuple[PairSet, ...]:
-    """Close a family of sets under pairwise union (hence all finite unions).
+    """Close a family of sets under union: every nonempty union of members.
 
+    The closure grows member by member: once the first k members are
+    closed, adding member m adds m and its union with every set so far.
     Growth past ``cap`` raises rather than silently truncating, since a
     truncated closure would drop binding inequalities.
     """
-    closed: set[PairSet] = set(members)
-    frontier = set(closed)
-    if len(closed) > cap:
-        raise ClosureCapError(f"{len(closed)} support sets exceed cap {cap}")
-    while frontier:
-        new: set[PairSet] = set()
-        for a in frontier:
-            for b in closed:
-                u = a | b
-                if u not in closed and u not in new:
-                    new.add(u)
-                    if len(closed) + len(new) > cap:
-                        raise ClosureCapError(
-                            f"union closure exceeds cap {cap}")
-        closed |= new
-        frontier = new
+    closed: set[PairSet] = set()
+    for m in set(members):
+        closed |= {m | c for c in closed}
+        closed.add(m)
+        if len(closed) > cap:
+            raise ClosureCapError(f"union closure exceeds cap {cap}")
     return _canon(closed)
 
 
@@ -142,8 +134,11 @@ def support_family(obs: Sequence[LocalObs], side: str,
     for s in members:
         if not s:
             raise IdentifyError("empty candidate set in support")
-    return SupportFamily(side=side, members=members,
-                         closure=union_closure(members, cap=cap))
+    try:
+        closure = union_closure(members, cap=cap)
+    except ClosureCapError as exc:
+        raise ClosureCapError(f"{side} side: {exc}") from None
+    return SupportFamily(side=side, members=members, closure=closure)
 
 
 @dataclass(frozen=True)
@@ -167,9 +162,12 @@ def containment_stats(obs: Sequence[LocalObs], side: str,
     tot = total_weight(obs)
     if tot <= 0:
         raise IdentifyError("empty side")
+    weights: dict[PairSet, float] = {}
+    for o in obs:
+        weights[o.qset] = weights.get(o.qset, 0.0) + o.weight
     probs: dict[PairSet, float] = {}
     for a in fam.closure:
-        hit = sum(o.weight for o in obs if o.qset <= a)
+        hit = sum(w for q, w in weights.items() if q <= a)
         probs[a] = float(hit / tot)
     return ContainmentStats(side=side, n_obs=len(obs), total=tot,
                             family=fam, containment=probs)

@@ -2,9 +2,10 @@
 
 Scores travel as one column per school even when schools share a column
 internally; reading infers the sharing structure back from exact column
-equality.  All floats are written with round-trip precision and JSON
-artifacts are normalized (sorted keys, 12-decimal rounding) so reruns with
-the same inputs produce byte-identical files.
+equality.  All floats are written with round-trip precision, and JSON
+artifacts are normalized (sorted keys, numpy scalars as Python numbers,
+negative zero as zero, non-finite floats as strings, frozensets as sorted
+lists) so reruns with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations

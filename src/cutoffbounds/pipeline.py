@@ -4,8 +4,10 @@ One run walks simulate/ingest -> match -> pairs -> qsets -> identify ->
 bounds, writing each stage's artifact into the output directory.  Every
 (pair, regime, outcome) combination gets a status in the manifest: ``ok``,
 ``falsified`` when the containment inequalities reject the assumed
-reporting discipline, or ``skipped-empty-side`` when a window side has
-nobody in it.  Falsification never aborts the run; wall-clock numbers go
+reporting discipline, ``skipped-empty-side`` when a window side has
+nobody in it, or ``skipped-closure-cap`` (with a ``reason``) when a side's
+union closure outgrows ``closure_cap``.  Neither falsification nor a
+skipped combination aborts the run; wall-clock numbers go
 to a separate timing file so the analytical artifacts are byte-stable
 across reruns.
 """
@@ -26,9 +28,9 @@ from . import io
 from .bounds import (BoundsError, IDENTITY, OutcomeTransform, effect_bounds,
                      hm_side_bounds, naive_rd, pair_subpop, sharp_bounds_finite)
 from .economy import DGPConfig, Economy, generate_economy, observe_outcomes
-from .identify import (ContainmentStats, FalsificationSignal, build_polytope,
-                       collect_local_obs, containment_stats, delta_bounds,
-                       falsification_test)
+from .identify import (ClosureCapError, ContainmentStats, FalsificationSignal,
+                       build_polytope, collect_local_obs, containment_stats,
+                       delta_bounds, falsification_test)
 from .localpref import ComparablePair, find_comparable_pairs, select_local_sample
 from .mechanism import CutoffProfile, extract_cutoffs, run_da, run_sd
 from .presets import golden_sd, rigged_wpo, sample_economy, strategic_showcase_design
@@ -321,6 +323,7 @@ class ComboResult:
     n_minus: int
     identify: dict[str, Any]
     entries: list[dict[str, Any]]
+    reason: str | None = None
 
 
 def analyze_combo(eco: Economy, cutoffs: CutoffProfile, pair: ComparablePair,
@@ -331,39 +334,47 @@ def analyze_combo(eco: Economy, cutoffs: CutoffProfile, pair: ComparablePair,
     sample = select_local_sample(eco, cutoffs, pair.school, bandwidth)
     obs_plus, obs_minus = collect_local_obs(eco, cutoffs, sample, regime,
                                             umas if regime.umas else None)
-    stats_plus = (containment_stats(obs_plus, "plus", cap=cfg.closure_cap)
-                  if obs_plus else None)
-    stats_minus = (containment_stats(obs_minus, "minus", cap=cfg.closure_cap)
-                   if obs_minus else None)
+    status = "ok"
+    reason = None
+    try:
+        stats_plus = (containment_stats(obs_plus, "plus", cap=cfg.closure_cap)
+                      if obs_plus else None)
+        stats_minus = (containment_stats(obs_minus, "minus",
+                                         cap=cfg.closure_cap)
+                       if obs_minus else None)
+    except ClosureCapError as exc:
+        stats_plus = stats_minus = None
+        status, reason = "skipped-closure-cap", str(exc)
 
     identify_block: dict[str, Any] = {
         "pair": list(jk),
         "regime": regime.label,
         "plus": _side_payload(stats_plus),
         "minus": _side_payload(stats_minus),
+        "falsification": None,
     }
-    status = "ok"
     delta = None
-    fals = falsification_test(stats_plus, stats_minus, eco.n_schools,
-                              pair=jk, tol=cfg.falsification_tol,
-                              allowance=cfg.falsification_allowance)
-    identify_block["falsification"] = {
-        "passed": fals.passed,
-        "infeasible": False,
-        "checks": [{"name": c.name, "statistic": c.statistic,
-                    "limit": c.limit, "passed": c.passed}
-                   for c in fals.checks],
-    }
-    if not fals.passed:
-        status = "falsified"
-    else:
-        try:
-            poly = build_polytope(stats_plus, stats_minus)
-            delta = delta_bounds(poly, jk, obs_plus, obs_minus)
-        except FalsificationSignal:
+    if status == "ok":
+        fals = falsification_test(stats_plus, stats_minus, eco.n_schools,
+                                  pair=jk, tol=cfg.falsification_tol,
+                                  allowance=cfg.falsification_allowance)
+        identify_block["falsification"] = {
+            "passed": fals.passed,
+            "infeasible": False,
+            "checks": [{"name": c.name, "statistic": c.statistic,
+                        "limit": c.limit, "passed": c.passed}
+                       for c in fals.checks],
+        }
+        if not fals.passed:
             status = "falsified"
-            identify_block["falsification"]["passed"] = False
-            identify_block["falsification"]["infeasible"] = True
+        else:
+            try:
+                poly = build_polytope(stats_plus, stats_minus)
+                delta = delta_bounds(poly, jk, obs_plus, obs_minus)
+            except FalsificationSignal:
+                status = "falsified"
+                identify_block["falsification"]["passed"] = False
+                identify_block["falsification"]["infeasible"] = True
     if status == "ok" and (not obs_plus or not obs_minus):
         status = "skipped-empty-side"
 
@@ -389,7 +400,8 @@ def analyze_combo(eco: Economy, cutoffs: CutoffProfile, pair: ComparablePair,
                             stats_plus, stats_minus, pair, cfg))
     return ComboResult(pair=jk, regime=regime.label, status=status,
                        n_plus=pair.n_plus, n_minus=pair.n_minus,
-                       identify=identify_block, entries=entries)
+                       identify=identify_block, entries=entries,
+                       reason=reason)
 
 
 def _base_entry(jk, regime, g, pair, delta) -> dict[str, Any]:
@@ -522,6 +534,10 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
         _finish_run(out_dir, manifest, timings, t0)
         return manifest
 
+    if eco.y_observed is None:
+        raise io.IngestError(
+            f"{Path(cfg.input_dir or '.') / 'outcomes.csv'}: missing, and"
+            f" stage {stage!r} needs observed outcomes")
     t = time.perf_counter()
     outcomes = tuple(parse_outcome(s) for s in cfg.outcomes)
     combos = [(p, r) for p in pairs for r in regimes]
@@ -543,8 +559,11 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
     statuses = []
     for r in results:
         for g in outcomes:
-            statuses.append({"pair": list(r.pair), "regime": r.regime,
-                             "outcome": g.name, "status": r.status})
+            entry = {"pair": list(r.pair), "regime": r.regime,
+                     "outcome": g.name, "status": r.status}
+            if r.reason is not None:
+                entry["reason"] = r.reason
+            statuses.append(entry)
     manifest["statuses"] = statuses
     counts: dict[str, int] = {}
     for s in statuses:

@@ -1,12 +1,15 @@
 """Small dense linear-program solver.
 
-Two-phase primal simplex on a dense tableau with Bland's entering rule.
-The polytopes in this package have at most a few dozen variables and rows,
-so a simple exact-ish tableau method is faster to trust than to tune:
-no scaling, no revised factorizations, just careful pivoting.
-
 Problems are stated as  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,
 x >= 0.  Status is one of "optimal", "infeasible", "unbounded".
+
+The programs this package builds are tall and narrow: one row per set in a
+union closure (up to a few thousand) over at most a few dozen variables.
+``solve_lp`` therefore runs the simplex method on the dual, whose tableau
+has one row per primal variable, and reads the primal solution back from
+the dual's reduced costs.  The tableau method is two-phase on a dense numpy
+array: Dantzig's entering rule, switching to Bland's rule after a run of
+degenerate pivots so that it cannot cycle.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 FEAS_TOL = 1e-9
+RATIO_TIE = 1e-12
+DEGENERATE_RUN = 20     # degenerate pivots in a row before Bland's rule
 
 
 class SimplexError(RuntimeError):
@@ -33,177 +38,139 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    hit = np.flatnonzero(factors)
+    if hit.size:
+        T[hit] -= np.outer(factors[hit], T[row])
+        T[hit, col] = 0.0
     basis[row] = col
 
 
-def _bland_min(T: np.ndarray, basis: list[int], n_cols: int, tol: float,
-               max_iter: int) -> str:
+def _optimize(T: np.ndarray, basis: np.ndarray, n_cols: int, tol: float,
+              max_iter: int) -> str:
     """Run simplex to optimality on a tableau whose last row is the
-    (priced-out) objective and last column the RHS."""
+    (priced-out) objective and last column the RHS; only the first
+    ``n_cols`` columns may enter."""
     m = T.shape[0] - 1
+    degenerate = 0
     for _ in range(max_iter):
-        enter = -1
-        for jv in range(n_cols):
-            if T[-1, jv] < -tol:
-                enter = jv
-                break
-        if enter < 0:
-            return "optimal"
-        leave_row = -1
-        best_ratio = np.inf
-        best_basis = -1
-        for r in range(m):
-            a = T[r, enter]
-            if a > tol:
-                ratio = T[r, -1] / a
-                if (ratio < best_ratio - 1e-12
-                        or (abs(ratio - best_ratio) <= 1e-12
-                            and (leave_row < 0 or basis[r] < best_basis))):
-                    best_ratio = ratio
-                    best_basis = basis[r]
-                    leave_row = r
-        if leave_row < 0:
+        cost = T[-1, :n_cols]
+        if degenerate < DEGENERATE_RUN:
+            enter = int(np.argmin(cost))
+            if cost[enter] >= -tol:
+                return "optimal"
+        else:
+            candidates = np.flatnonzero(cost < -tol)
+            if candidates.size == 0:
+                return "optimal"
+            enter = int(candidates[0])
+        column = T[:m, enter]
+        rows = np.flatnonzero(column > tol)
+        if rows.size == 0:
             return "unbounded"
-        _pivot(T, basis, leave_row, enter)
+        ratios = T[rows, -1] / column[rows]
+        step = ratios.min()
+        ties = rows[ratios <= step + RATIO_TIE]
+        leave = int(ties[np.argmin(basis[ties])])
+        degenerate = degenerate + 1 if step <= RATIO_TIE else 0
+        _pivot(T, basis, leave, enter)
     raise SimplexError("simplex failed to converge")
 
 
-def _price_out(T: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
-    T[-1, :] = 0.0
-    T[-1, : cost.size] = cost
-    for r, bv in enumerate(basis):
-        cb = T[-1, bv]
-        if cb != 0.0:
-            T[-1] -= cb * T[r]
+def _simplex(cost: np.ndarray, A: np.ndarray, b: np.ndarray, n_ub: int,
+             tol: float, phase1_only: bool = False):
+    """min cost.v  s.t.  the first ``n_ub`` rows of  A v <= b,  the rest
+    A v = b,  v >= 0.
+
+    Returns ``(status, T)`` with ``T`` the final tableau: columns
+    are the variables, then one slack per ``<=`` row in row order, then
+    the RHS; its last row holds the reduced costs and minus the value.
+    With ``phase1_only`` it stops after phase 1, reporting "optimal" for a
+    feasible program.
+    """
+    m, n = A.shape
+    width = n + n_ub
+    sign = np.where(b < 0, -1.0, 1.0)
+    # a <= row with b >= 0 starts on its slack; every other row on an
+    # artificial
+    need_art = np.ones(m, dtype=bool)
+    need_art[:n_ub] = b[:n_ub] < 0
+    art_rows = np.flatnonzero(need_art)
+    n_art = art_rows.size
+    T = np.zeros((m + 1, width + n_art + 1))
+    T[:m, :n] = A * sign[:, None]
+    T[np.arange(n_ub), n + np.arange(n_ub)] = sign[:n_ub]
+    T[art_rows, width + np.arange(n_art)] = 1.0
+    T[:m, -1] = b * sign
+    basis = n + np.arange(m)
+    basis[art_rows] = width + np.arange(n_art)
+    max_iter = 200 * (m + width + n_art + 10)
+
+    if n_art:
+        T[-1] = -T[art_rows].sum(axis=0)
+        T[-1, width:-1] = 0.0
+        if _optimize(T, basis, width + n_art, tol, max_iter) != "optimal":
+            raise SimplexError("phase 1 failed")    # cannot be unbounded
+        if -T[-1, -1] > tol:      # priced-out objective stores -value
+            return "infeasible", T
+        if phase1_only:
+            return "optimal", T
+        # drive any degenerate artificial out of the basis
+        keep = np.ones(m + 1, dtype=bool)
+        for r in np.flatnonzero(basis >= width):
+            j = int(np.argmax(np.abs(T[r, :width])))
+            if abs(T[r, j]) > tol:
+                _pivot(T, basis, r, j)
+            else:
+                keep[r] = False              # redundant constraint
+        T = np.hstack([T[keep, :width], T[keep, -1:]])
+        basis = basis[keep[:m]]
+    elif phase1_only:
+        return "optimal", T
+
+    full_cost = np.zeros(width)
+    full_cost[:n] = cost
+    T[-1, :-1] = full_cost
+    T[-1, -1] = 0.0
+    T[-1] -= full_cost[basis] @ T[:-1]
+    return _optimize(T, basis, width, tol, max_iter), T
+
+
+def _block(A, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if A is None:
+        return np.zeros((0, n)), np.zeros(0)
+    return (np.asarray(A, dtype=float).reshape(-1, n),
+            np.asarray(b, dtype=float).ravel())
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
              tol: float = FEAS_TOL, maximize: bool = False) -> LPResult:
-    c = np.asarray(c, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
     n = c.size
     if maximize:
         c = -c
+    A_ub, b_ub = _block(A_ub, b_ub, n)
+    A_eq, b_eq = _block(A_eq, b_eq, n)
 
-    rows = []
-    rhs = []
-    kinds = []
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
-        b_ub = np.asarray(b_ub, dtype=float).ravel()
-        for r in range(A_ub.shape[0]):
-            rows.append(A_ub[r])
-            rhs.append(b_ub[r])
-            kinds.append("ub")
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        for r in range(A_eq.shape[0]):
-            rows.append(A_eq[r])
-            rhs.append(b_eq[r])
-            kinds.append("eq")
-    m = len(rows)
-    if m == 0:
-        # unconstrained over the non-negative orthant
-        if (c < -tol).any():
-            return LPResult("unbounded")
-        x = np.zeros(n)
-        return LPResult("optimal", x, 0.0)
-
-    n_slack = sum(1 for k in kinds if k == "ub")
-    # build [A | slack | artificial | rhs]; artificials added as needed
-    art_cols: list[int] = []
-    width = n + n_slack
-    body = np.zeros((m, width))
-    b = np.zeros(m)
-    basis: list[int] = []
-    si = 0
-    need_art = []
-    for r in range(m):
-        row = rows[r].copy()
-        bb = rhs[r]
-        scol = -1
-        if kinds[r] == "ub":
-            scol = n + si
-            si += 1
-        if bb < 0:
-            row = -row
-            bb = -bb
-            sv = -1.0
-        else:
-            sv = 1.0
-        body[r, :n] = row
-        b[r] = bb
-        if scol >= 0:
-            body[r, scol] = sv
-            if sv > 0:
-                basis.append(scol)
-                need_art.append(False)
-                continue
-        basis.append(-1)        # placeholder, artificial goes here
-        need_art.append(True)
-
-    n_art = sum(need_art)
-    total = width + n_art
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :width] = body
-    T[:m, -1] = b
-    ai = 0
-    for r in range(m):
-        if need_art[r]:
-            col = width + ai
-            T[r, col] = 1.0
-            basis[r] = col
-            art_cols.append(col)
-            ai += 1
-
-    max_iter = 200 * (m + total + 10)
-
-    if n_art:
-        phase1_cost = np.zeros(total)
-        phase1_cost[width:] = 1.0
-        _price_out(T, basis, phase1_cost)
-        status = _bland_min(T, basis, total, tol, max_iter)
-        if status != "optimal":
-            raise SimplexError("phase 1 failed")    # cannot be unbounded
-        if -T[-1, -1] > tol:      # priced-out objective stores -value
-            return LPResult("infeasible")
-        # drive any degenerate artificial out of the basis
-        drop_rows = []
-        for r in range(m):
-            if basis[r] >= width:
-                piv = -1
-                for jv in range(width):
-                    if abs(T[r, jv]) > tol:
-                        piv = jv
-                        break
-                if piv >= 0:
-                    _pivot(T, basis, r, piv)
-                else:
-                    drop_rows.append(r)       # redundant constraint
-        if drop_rows:
-            keep = [r for r in range(m) if r not in drop_rows]
-            T = np.vstack([T[keep], T[-1:]])
-            basis = [basis[r] for r in keep]
-            m = len(keep)
-        # forbid artificials from re-entering
-        T[:, width:total] = 0.0
-
-    phase2_cost = np.zeros(total)
-    phase2_cost[:n] = c
-    _price_out(T, basis, phase2_cost)
-    status = _bland_min(T, basis, width, tol, max_iter)
+    # dual, one row per primal variable:
+    #   min b_ub.u - b_eq.z+ + b_eq.z-
+    #   s.t. -A_ub^T u + A_eq^T z+ - A_eq^T z- <= c,   u, z+, z- >= 0
+    G = np.hstack([-A_ub.T, A_eq.T, -A_eq.T])
+    d = np.concatenate([b_ub, -b_eq, b_eq])
+    status, T = _simplex(d, G, c, n, tol)
+    if status == "optimal":
+        # x is the reduced cost of the dual row's slack; the primal value
+        # is minus the dual's, which the tableau stores negated
+        x = np.maximum(T[-1, G.shape[1]:G.shape[1] + n], 0.0)
+        value = float(T[-1, -1])
+        return LPResult("optimal", x, -value if maximize else value)
     if status == "unbounded":
-        return LPResult("unbounded")
-    x = np.zeros(total)
-    for r, bv in enumerate(basis):
-        x[bv] = T[r, -1]
-    value = float(phase2_cost @ x)
-    if maximize:
-        value = -value
-    return LPResult("optimal", x[:n].copy(), value)
+        return LPResult("infeasible")
+    # dual infeasible: the primal is unbounded if it is feasible at all
+    A = np.vstack([A_ub, A_eq])
+    b = np.concatenate([b_ub, b_eq])
+    status, _ = _simplex(c, A, b, A_ub.shape[0], tol, phase1_only=True)
+    return LPResult("infeasible" if status == "infeasible" else "unbounded")

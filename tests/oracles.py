@@ -8,6 +8,7 @@ they can reach.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -344,13 +345,16 @@ def grid_event_bounds(atoms: tuple, rows, event, step: int = 100
     if k > 1:
         axes = np.meshgrid(*([np.arange(step + 1)] * (k - 1)), indexing="ij")
         rest = np.stack([a.ravel() for a in axes]).astype(np.int32)
+        rest = rest[:, rest.sum(axis=0) <= step]   # room left for atom 0
     else:
         rest = np.zeros((0, 1), dtype=np.int32)
     rest_sum = rest.sum(axis=0)
-    # per-row mass over the non-looped atoms, plus whether atom 0 counts
+    # per-row mass over the non-looped atoms, whether atom 0 counts, and the
+    # least integer mass meeting the bound
     row_rest = [(rest[sorted(i - 1 for i in sel if i > 0)].sum(axis=0)
                  if any(i > 0 for i in sel) else np.zeros_like(rest_sum),
-                 0 in sel, bound) for sel, bound in row_sel]
+                 0 in sel, math.ceil(bound * step - 1e-7))
+                for sel, bound in row_sel]
     ev_rest = (rest[sorted(i - 1 for i in ev_sel if i > 0)].sum(axis=0)
                if any(i > 0 for i in ev_sel) else np.zeros_like(rest_sum))
     ev_has0 = 0 in ev_sel
@@ -358,8 +362,8 @@ def grid_event_bounds(atoms: tuple, rows, event, step: int = 100
     lo, hi = np.inf, -np.inf
     for m0 in range(step + 1):
         feasible = rest_sum + m0 <= step
-        for part, has0, bound in row_rest:
-            feasible &= part + (m0 if has0 else 0) >= bound * step - 1e-7
+        for part, has0, need in row_rest:
+            feasible &= part + (m0 if has0 else 0) >= need
         if not feasible.any():
             continue
         vals = ev_rest[feasible] + (m0 if ev_has0 else 0)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoffbounds import (
     ClosureCapError,
@@ -58,6 +62,26 @@ def test_union_closure_cap():
     with pytest.raises(ClosureCapError):
         union_closure(singletons, cap=4096)       # full lattice would be 8191
     assert len(union_closure(singletons[:4])) == 15
+
+
+_PAIRS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_MEMBERS = st.lists(st.frozensets(_PAIRS, min_size=1, max_size=5),
+                    max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=_MEMBERS, cap=st.integers(0, 80))
+def test_union_closure_is_every_nonempty_union(members, cap):
+    unions = {frozenset().union(*chosen)
+              for k in range(1, len(members) + 1)
+              for chosen in combinations(members, k)}
+    if len(unions) > cap:
+        with pytest.raises(ClosureCapError):
+            union_closure(members, cap=cap)
+    else:
+        closed = union_closure(members, cap=cap)
+        assert len(closed) == len(unions)
+        assert set(closed) == unions
 
 
 def test_support_family_rejects_degenerate_input():

@@ -340,8 +340,37 @@ def test_ingest_cutoff_override(tmp_path, golden):
         run_pipeline(cfg, stage="match")
 
 
+def test_ingest_without_outcomes_is_a_config_error(tmp_path, golden, capsys):
+    src = tmp_path / "in"
+    write_economy(src, golden.economy)
+    (src / "outcomes.csv").unlink()
+    cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
+                    capacities=list(golden.economy.capacities))
+    assert main(["qsets", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "outcomes.csv" in err and "'bounds'" in err
+
+
 # ---------------------------------------------------------------------------
 # CLI flags and error paths
+
+
+def test_closure_cap_overrun_is_a_status(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, closure_cap=1)
+    assert main(["bounds", "--config", str(cfg)]) in (0, 3)
+    assert "skipped-closure-cap=4" in capsys.readouterr().out
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counts"] == {"skipped-closure-cap": 4}
+    for s in manifest["statuses"]:
+        assert s["reason"] == "plus side: union closure exceeds cap 1"
+    for blk in json.loads((out / "identify.json").read_text()):
+        assert blk["plus"] is None and blk["falsification"] is None
+    entries = json.loads((out / "bounds.json").read_text())
+    assert len(entries) == 8
+    assert all(e["lower"] is None and e["upper"] is None for e in entries)
 
 
 def test_cli_overrides_take_precedence(tmp_path):

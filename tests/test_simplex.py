@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cutoffbounds.simplex import LPResult, solve_lp
+from cutoffbounds import simplex
+from cutoffbounds.simplex import FEAS_TOL, LPResult, SimplexError, solve_lp
 
 
 def test_hand_solved_program():
@@ -62,6 +63,27 @@ def test_degenerate_cycling_guard():
     assert res.value == pytest.approx(-0.05, abs=1e-9)
 
 
+def test_bland_fallback_stops_dantzig_cycling(monkeypatch):
+    # Beale's tableau, on which Dantzig's rule alone cycles forever
+    def beale():
+        T = np.zeros((4, 8))
+        T[:3, :4] = [[0.25, -60.0, -0.04, 9.0],
+                     [0.5, -90.0, -0.02, 3.0],
+                     [0.0, 0.0, 1.0, 0.0]]
+        T[:3, 4:7] = np.eye(3)
+        T[:3, -1] = [0.0, 0.0, 1.0]
+        T[-1, :4] = [-0.75, 150.0, -0.02, 6.0]
+        return T, np.array([4, 5, 6])
+
+    T, basis = beale()
+    assert simplex._optimize(T, basis, 7, FEAS_TOL, 500) == "optimal"
+    assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-9)
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", 10**9)
+    T, basis = beale()
+    with pytest.raises(SimplexError, match="converge"):
+        simplex._optimize(T, basis, 7, FEAS_TOL, 500)
+
+
 def test_matches_scipy_on_random_programs():
     rng = np.random.default_rng(777)
     agree = 0
@@ -91,3 +113,57 @@ def test_matches_scipy_on_random_programs():
 def test_result_flags():
     assert not LPResult("infeasible").ok
     assert LPResult("optimal", np.zeros(1), 0.0).ok
+
+
+def _tall_event_program(rng, n_rows, n_atoms, feasible):
+    """A containment polytope shaped like ``identify._polytope_constraints``:
+    one ``-(mass over A) <= -bound`` row per subset A of the atoms, a
+    residual variable in no row, and total mass one.
+
+    Bounds are a distribution's subset masses, shrunk for a feasible
+    program; an infeasible one takes the larger mass under two
+    distributions, as two sides of a cutoff do.
+    """
+    n = n_atoms + 1
+    p = rng.dirichlet(np.ones(n))
+    q = rng.dirichlet(np.ones(n))
+    sizes = np.minimum(rng.geometric(0.3, size=n_rows), n_atoms)
+    members = np.zeros((n_rows, n), dtype=bool)
+    for r, size in enumerate(sizes):
+        members[r, rng.choice(n_atoms, size=size, replace=False)] = True
+    if feasible:
+        bound = members @ p * rng.uniform(0.5, 1.0, size=n_rows)
+    else:
+        bound = np.maximum(members @ p, members @ q)
+    A_ub = -members.astype(float)
+    return A_ub, -bound, np.ones((1, n)), np.ones(1)
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_tall_narrow_programs_match_scipy(feasible):
+    rng = np.random.default_rng(2024 if feasible else 2025)
+    statuses = []
+    for trial in range(6):
+        n_rows = int(rng.integers(200, 2001))
+        n_atoms = int(rng.integers(8, 40))
+        A_ub, b_ub, A_eq, b_eq = _tall_event_program(rng, n_rows, n_atoms,
+                                                     feasible)
+        c = np.zeros(n_atoms + 1)
+        c[rng.choice(n_atoms, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+        for sense in (1.0, -1.0):
+            mine = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                            maximize=sense < 0)
+            ref = linprog(sense * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                          b_eq=b_eq, bounds=(0, None), method="highs")
+            assert ref.status in (0, 2), ref.message
+            expected = "optimal" if ref.status == 0 else "infeasible"
+            assert mine.status == expected, f"trial {trial}"
+            statuses.append(mine.status)
+            if not mine.ok:
+                continue
+            assert mine.value == pytest.approx(sense * ref.fun, abs=1e-9)
+            assert mine.x.min() >= 0.0
+            assert (A_ub @ mine.x - b_ub).max() <= 1e-9
+            assert abs(A_eq @ mine.x - b_eq).max() <= 1e-9
+            assert c @ mine.x == pytest.approx(mine.value, abs=1e-12)
+    assert set(statuses) == {"optimal" if feasible else "infeasible"}
