@@ -29,7 +29,7 @@ from .mechanism import (CutoffProfile, Matching, audit_cutoff_characterization,
                         run_sd)
 from .pipeline import (RunConfig, __version__, run_pipeline, write_report)
 from .qsets import (EMPTY_UMAS, REGIMES, Regime, StaleUmasError, UmasRelation,
-                    build_qset, detect_umas, qset_for_student, refine_umas,
+                    build_qset, detect_umas, qset_for_student,
                     regime_from_label)
 
 __all__ = [
@@ -45,9 +45,8 @@ __all__ = [
     "counterfactual_sets", "delta_bounds", "detect_umas", "effect_bounds",
     "extract_cutoffs", "falsification_test", "find_comparable_pairs",
     "generate_economy", "generate_reports", "hm_side_bounds", "local_pair",
-    "naive_rd", "observe_outcomes", "qset_for_student", "refine_umas",
-    "regime_from_label", "run_da", "run_pipeline", "run_sd",
-    "select_local_sample", "sharp_bounds_finite", "solve_bounds_on_event",
-    "support_family", "trimming_bounds_continuous", "union_closure",
-    "write_report",
+    "naive_rd", "observe_outcomes", "qset_for_student", "regime_from_label",
+    "run_da", "run_pipeline", "run_sd", "select_local_sample",
+    "sharp_bounds_finite", "solve_bounds_on_event", "support_family",
+    "trimming_bounds_continuous", "union_closure", "write_report",
 ]

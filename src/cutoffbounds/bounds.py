@@ -18,15 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .identify import (
-    ContainmentStats,
-    IdentifyError,
-    InfeasiblePolytopeError,
-    LocalObs,
-    total_weight,
-)
+from .identify import ContainmentStats, LocalObs, _lp_interval, total_weight
 from .qsets import Pair, PairSet
-from .simplex import SimplexError, solve_lp
 
 
 class BoundsError(ValueError):
@@ -336,12 +329,6 @@ def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
         c[ui(a_idx[pair], y_idx[y])] = y
         c[vi(a_idx[pair], y_idx[y])] = -y
 
-    lo = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
-    if lo.status == "infeasible":
-        raise InfeasiblePolytopeError(
-            "joint outcome-and-pair inequalities admit no distribution")
-    hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
-    if not (lo.ok and hi.ok):
-        raise SimplexError(f"unexpected LP status {lo.status}/{hi.status}")
-    return EffectBounds(lower=float(lo.value), upper=float(hi.value),
-                        method="sharp-lp")
+    lower, upper = _lp_interval(c, A_ub, b_ub, A_eq, b_eq,
+                                what="joint outcome-and-pair inequalities")
+    return EffectBounds(lower=lower, upper=upper, method="sharp-lp")

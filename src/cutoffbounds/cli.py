@@ -40,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON run configuration")
     shared.add_argument("--seed", type=int, metavar="N",
                         help="override the config seed")
-    shared.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads for per-pair analysis")
     shared.add_argument("--out", metavar="DIR",
                         help="output directory (overrides config)")
     parser = argparse.ArgumentParser(
@@ -61,8 +59,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     data = read_config_file(Path(args.config))
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.threads is not None:
-        data["threads"] = args.threads
     if args.out is not None:
         data["out_dir"] = args.out
     return RunConfig.from_dict(data)

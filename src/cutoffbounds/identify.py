@@ -17,9 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .localpref import local_pair
-from .qsets import Pair, PairSet, Regime, UmasRelation, qset_for_student
-from .simplex import SimplexError, solve_lp
+from .localpref import best_reported, counterfactual_sets
+from .qsets import Pair, PairSet, Regime, UmasRelation, build_qset, check_inputs
+from .simplex import FEAS_TOL, SimplexError, solve_lp
 
 
 class IdentifyError(ValueError):
@@ -48,14 +48,13 @@ class LocalObs:
 
     Weights let the same code run on raw students (weight 1 each) and on
     exact population mixtures (weights sum to the side mass).  The reported
-    pair feeds the naive contrast; the true pair is oracle-only.
+    pair feeds the naive contrast.
     """
 
     qset: PairSet
     y: float
     weight: float = 1.0
     reported_pair: Pair | None = None
-    true_pair: Pair | None = None
 
 
 def total_weight(obs: Sequence[LocalObs]) -> float:
@@ -77,15 +76,19 @@ def collect_local_obs(eco, cutoffs, sample, regime: Regime,
     """Window students as local records, one list per side of the cutoff."""
     if eco.y_observed is None:
         raise IdentifyError("economy has no observed outcomes")
+    check_inputs(eco, cutoffs, regime, umas)
     out: tuple[list[LocalObs], list[LocalObs]] = ([], [])
-    for store, ids in zip(out, (sample.plus_ids, sample.minus_ids)):
+    for store, ids, above in zip(out, (sample.plus_ids, sample.minus_ids),
+                                 (True, False)):
         for i in ids:
-            qset = qset_for_student(eco, cutoffs, i, sample.school, regime, umas)
-            rep = local_pair(eco, cutoffs, i, sample.school, use="reported")
-            true = (local_pair(eco, cutoffs, i, sample.school, use="true")
-                    if eco.truth is not None else None)
+            below_b, above_b = counterfactual_sets(eco, cutoffs, i,
+                                                   sample.school)
+            rol = eco.reports[i]
+            qset = build_qset(rol, below_b, above_b, above, eco.list_cap,
+                              regime, umas)
+            rep = (best_reported(rol, above_b), best_reported(rol, below_b))
             store.append(LocalObs(qset=qset, y=float(eco.y_observed[i]),
-                                  reported_pair=rep, true_pair=true))
+                                  reported_pair=rep))
     return out
 
 
@@ -121,9 +124,6 @@ class SupportFamily:
     side: str
     members: tuple[PairSet, ...]
     closure: tuple[PairSet, ...]
-
-    def __contains__(self, a: PairSet) -> bool:
-        return a in set(self.closure)
 
 
 def support_family(obs: Sequence[LocalObs], side: str,
@@ -247,14 +247,28 @@ def solve_bounds_on_event(poly: DistPolytope,
     for k, p in enumerate(poly.atoms):
         if p in event:
             c[k] = 1.0
-    A_ub, b_ub, A_eq, b_eq = _polytope_constraints(poly)
+    return _lp_interval(c, *_polytope_constraints(poly),
+                        what="containment inequalities")
+
+
+def _lp_interval(c, A_ub, b_ub, A_eq, b_eq, what: str) -> tuple[float, float]:
+    """[min, max] of ``c.x`` over a polytope, from one solve per end.
+
+    An infeasible polytope raises ``InfeasiblePolytopeError`` naming
+    ``what``.  Two separate solves of a point-identified value can leave the
+    max a rounding error below the min; up to ``FEAS_TOL`` that is the point
+    at the min, beyond it a solver fault.
+    """
     lo = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
     if lo.status == "infeasible":
-        raise InfeasiblePolytopeError("containment inequalities admit no distribution")
+        raise InfeasiblePolytopeError(f"{what} admit no distribution")
     hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
     if not (lo.ok and hi.ok):
         raise SimplexError(f"unexpected LP status {lo.status}/{hi.status}")
-    return float(lo.value), float(hi.value)
+    lower, upper = float(lo.value), float(hi.value)
+    if lower - upper > FEAS_TOL:
+        raise SimplexError(f"LP max {upper!r} lies below LP min {lower!r}")
+    return lower, max(lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +365,8 @@ def _cell_lower_bound(cell: PairSet, stats_plus: ContainmentStats | None,
                       stats_minus: ContainmentStats | None) -> float:
     vals = []
     for stats in (stats_plus, stats_minus):
-        if stats is not None and cell in stats.family:
-            vals.append(stats.prob(cell))
+        if stats is not None and cell in stats.containment:
+            vals.append(stats.containment[cell])
     return max(vals) if vals else 0.0
 
 

@@ -208,23 +208,6 @@ def audit_stability_wrt_reports(matching: Matching, eco: Economy) -> list[Violat
     return out
 
 
-def _best_in_budget_reported(rol: tuple[int, ...], budget: frozenset[int]) -> int:
-    for j in rol:
-        if j in budget:
-            return j
-    return OUTSIDE
-
-
-def _best_in_budget_true(order: np.ndarray, budget: frozenset[int]) -> int:
-    for d in order:
-        d = int(d)
-        if d == OUTSIDE:
-            return OUTSIDE
-        if d in budget:
-            return d
-    return OUTSIDE
-
-
 def audit_cutoff_characterization(matching: Matching, eco: Economy,
                                   cutoffs: CutoffProfile,
                                   wrt: str = "reports") -> list[Violation]:
@@ -234,7 +217,8 @@ def audit_cutoff_characterization(matching: Matching, eco: Economy,
     tie-free scores); ``wrt="truth"`` uses true preferences and flags the
     assignments that strategic or mistaken lists distorted.
     """
-    from .localpref import budget_set      # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .localpref import best_reported, best_true, budget_set
 
     if wrt not in ("reports", "truth"):
         raise MechanismError("wrt must be 'reports' or 'truth'")
@@ -245,9 +229,9 @@ def audit_cutoff_characterization(matching: Matching, eco: Economy,
     for i in range(eco.n_students):
         budget = budget_set(eco, cutoffs, i)
         if wrt == "reports":
-            best = _best_in_budget_reported(reports[i], budget)
+            best = best_reported(reports[i], budget)
         else:
-            best = _best_in_budget_true(eco.truth.pref_orders[i], budget)
+            best = best_true(eco.truth.pref_orders[i], budget)
         a = matching.assignment[i]
         if a != best:
             out.append(Violation("cutoff_characterization", i, best,

@@ -15,9 +15,9 @@ across reruns.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -29,9 +29,10 @@ from .bounds import (BoundsError, IDENTITY, OutcomeTransform, effect_bounds,
                      hm_side_bounds, naive_rd, pair_subpop, sharp_bounds_finite)
 from .economy import DGPConfig, Economy, generate_economy, observe_outcomes
 from .identify import (ClosureCapError, ContainmentStats, FalsificationSignal,
-                       build_polytope, collect_local_obs, containment_stats,
-                       delta_bounds, falsification_test)
-from .localpref import ComparablePair, find_comparable_pairs, select_local_sample
+                       LocalObs, build_polytope, collect_local_obs,
+                       containment_stats, delta_bounds, falsification_test)
+from .localpref import (ComparablePair, LocalSample, find_comparable_pairs,
+                        select_local_sample)
 from .mechanism import CutoffProfile, extract_cutoffs, run_da, run_sd
 from .presets import golden_sd, rigged_wpo, sample_economy, strategic_showcase_design
 from .qsets import (EMPTY_UMAS, QsetError, Regime, UmasRelation, detect_umas,
@@ -89,7 +90,6 @@ class RunConfig:
     regimes: tuple[str, ...] = ("wpo", "wpo+umas", "spo", "spo+umas")
     outcomes: tuple[Any, ...] = ("identity",)
     seed: int = 0
-    threads: int = 1
     out_dir: str = "out"
     min_witnesses: int = 1
     closure_cap: int = 4096
@@ -139,7 +139,7 @@ class RunConfig:
                     "falsification_action"):
             if key in data:
                 kw[key] = data.pop(key)
-        for key in ("list_cap", "sample_n", "seed", "threads", "min_local_n",
+        for key in ("list_cap", "sample_n", "seed", "min_local_n",
                     "min_witnesses", "closure_cap", "support_cap", "row_cap"):
             if key in data:
                 kw[key] = int(data.pop(key))
@@ -174,7 +174,6 @@ class RunConfig:
             "regimes": list(self.regimes),
             "outcomes": list(self.outcomes),
             "seed": self.seed,
-            "threads": self.threads,
             "out_dir": self.out_dir,
             "min_witnesses": self.min_witnesses,
             "closure_cap": self.closure_cap,
@@ -326,25 +325,69 @@ class ComboResult:
     reason: str | None = None
 
 
-def analyze_combo(eco: Economy, cutoffs: CutoffProfile, pair: ComparablePair,
+@dataclass(frozen=True)
+class _Window:
+    """One school's window under one regime, shared by all its pairs.
+
+    ``status`` is "ok" or "skipped-closure-cap" (then with a ``reason``
+    and no containment statistics).
+    """
+
+    obs_plus: list[LocalObs]
+    obs_minus: list[LocalObs]
+    stats_plus: ContainmentStats | None
+    stats_minus: ContainmentStats | None
+    status: str = "ok"
+    reason: str | None = None
+
+
+def _build_window(eco: Economy, cutoffs: CutoffProfile, sample: LocalSample,
                   regime: Regime, umas: UmasRelation,
-                  outcomes: Sequence[OutcomeTransform],
-                  cfg: RunConfig, bandwidth: float) -> ComboResult:
-    jk = _pair_key(pair)
-    sample = select_local_sample(eco, cutoffs, pair.school, bandwidth)
+                  closure_cap: int) -> _Window:
     obs_plus, obs_minus = collect_local_obs(eco, cutoffs, sample, regime,
                                             umas if regime.umas else None)
-    status = "ok"
-    reason = None
     try:
-        stats_plus = (containment_stats(obs_plus, "plus", cap=cfg.closure_cap)
+        stats_plus = (containment_stats(obs_plus, "plus", cap=closure_cap)
                       if obs_plus else None)
-        stats_minus = (containment_stats(obs_minus, "minus",
-                                         cap=cfg.closure_cap)
+        stats_minus = (containment_stats(obs_minus, "minus", cap=closure_cap)
                        if obs_minus else None)
     except ClosureCapError as exc:
-        stats_plus = stats_minus = None
-        status, reason = "skipped-closure-cap", str(exc)
+        return _Window(obs_plus, obs_minus, None, None,
+                       status="skipped-closure-cap", reason=str(exc))
+    return _Window(obs_plus, obs_minus, stats_plus, stats_minus)
+
+
+def _analyze_pairs(data: RunData, pairs: Sequence[ComparablePair],
+                   regimes: Sequence[Regime], umas: UmasRelation,
+                   outcomes: Sequence[OutcomeTransform],
+                   cfg: RunConfig) -> list[ComboResult]:
+    """Every (pair, regime) combination, pair-major.
+
+    Pairs arrive grouped by school; each school's window is built once per
+    regime and analysed for all of that school's pairs, then dropped.
+    """
+    eco = data.economy
+    results: list[ComboResult] = []
+    for school, group in itertools.groupby(pairs, key=lambda p: p.school):
+        group = list(group)
+        sample = select_local_sample(eco, data.cutoffs, school, data.bandwidth)
+        by_regime = []
+        for regime in regimes:
+            window = _build_window(eco, data.cutoffs, sample, regime, umas,
+                                   cfg.closure_cap)
+            by_regime.append([analyze_combo(eco, p, regime, window, outcomes,
+                                            cfg) for p in group])
+        results.extend(r for per_pair in zip(*by_regime) for r in per_pair)
+    return results
+
+
+def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
+                  window: _Window, outcomes: Sequence[OutcomeTransform],
+                  cfg: RunConfig) -> ComboResult:
+    jk = _pair_key(pair)
+    obs_plus, obs_minus = window.obs_plus, window.obs_minus
+    stats_plus, stats_minus = window.stats_plus, window.stats_minus
+    status = window.status
 
     identify_block: dict[str, Any] = {
         "pair": list(jk),
@@ -401,7 +444,7 @@ def analyze_combo(eco: Economy, cutoffs: CutoffProfile, pair: ComparablePair,
     return ComboResult(pair=jk, regime=regime.label, status=status,
                        n_plus=pair.n_plus, n_minus=pair.n_minus,
                        identify=identify_block, entries=entries,
-                       reason=reason)
+                       reason=window.reason)
 
 
 def _base_entry(jk, regime, g, pair, delta) -> dict[str, Any]:
@@ -540,18 +583,7 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
             f" stage {stage!r} needs observed outcomes")
     t = time.perf_counter()
     outcomes = tuple(parse_outcome(s) for s in cfg.outcomes)
-    combos = [(p, r) for p in pairs for r in regimes]
-
-    def work(item):
-        p, r = item
-        return analyze_combo(eco, data.cutoffs, p, r, umas, outcomes,
-                             cfg, data.bandwidth)
-
-    if cfg.threads > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, combos))
-    else:
-        results = [work(item) for item in combos]
+    results = _analyze_pairs(data, pairs, regimes, umas, outcomes, cfg)
     timings["analyze"] = time.perf_counter() - t
 
     identify_doc = [r.identify for r in results]

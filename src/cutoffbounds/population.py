@@ -113,7 +113,6 @@ def build_local_obs(types: Sequence[LocalType], side: str,
                           regime, umas)
         rep_pair = (best_reported(t.report, above_b),
                     best_reported(t.report, below_b))
-        true_pair = (best_true(t.order, above_b), best_true(t.order, below_b))
         mean = _mean_outcome(t, _attended(t, realized))
         if binary:
             if not 0.0 <= mean <= 1.0:
@@ -121,11 +120,10 @@ def build_local_obs(types: Sequence[LocalType], side: str,
             for y, w in ((1.0, t.mass * mean), (0.0, t.mass * (1.0 - mean))):
                 if w > 0.0:
                     out.append(LocalObs(qset=qset, y=y, weight=w,
-                                        reported_pair=rep_pair,
-                                        true_pair=true_pair))
+                                        reported_pair=rep_pair))
         else:
             out.append(LocalObs(qset=qset, y=mean, weight=t.mass,
-                                reported_pair=rep_pair, true_pair=true_pair))
+                                reported_pair=rep_pair))
     return out
 
 

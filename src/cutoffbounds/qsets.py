@@ -192,40 +192,14 @@ def build_qset(report: Sequence[int], below_budget: frozenset[int],
     return frozenset({anchor} | {(e, b) for e in cands})
 
 
-def refine_umas(qset: PairSet, report: Sequence[int], above: bool,
-                umas: UmasRelation) -> PairSet:
-    """Apply access-containment deductions to an already-built set.
-
-    Equivalent to building with the relation switched on; exposed so a
-    relation can be applied after the fact.  The anchor pair (the one whose
-    non-shared coordinate is listed or outside) always survives.
-    """
-    if len(qset) <= 1:
-        return qset
-    listed = set(report)
-    if above:
-        anchors = {p for p in qset if p[1] == OUTSIDE or p[1] in listed}
-        if len(anchors) != 1:
-            raise QsetError("malformed candidate set: no unique anchor")
-        (a, b) = next(iter(anchors))
-        cands = _umas_filter((e for (_, e) in qset - anchors), b, report, umas)
-        return frozenset(anchors | {(a, e) for e in cands})
-    anchors = {p for p in qset if p[0] == OUTSIDE or p[0] in listed}
-    if len(anchors) != 1:
-        raise QsetError("malformed candidate set: no unique anchor")
-    (a, b) = next(iter(anchors))
-    cands = _umas_filter((e for (e, _) in qset - anchors), a, report, umas)
-    return frozenset(anchors | {(e, b) for e in cands})
-
-
 # ---------------------------------------------------------------------------
 # economy-level wrapper
 
 
-def qset_for_student(eco: Economy, cutoffs: CutoffProfile, i: int, j: int,
-                     regime: Regime,
-                     umas: UmasRelation | None = None) -> PairSet:
-    """Candidate set of true local pairs for student ``i`` at school ``j``."""
+def check_inputs(eco: Economy, cutoffs: CutoffProfile, regime: Regime,
+                 umas: UmasRelation | None = None) -> None:
+    """Raise unless the economy has lists and, when the regime applies
+    access deductions, a relation computed from these cutoffs."""
     if eco.reports is None:
         raise QsetError("economy has no submitted lists")
     if regime.umas:
@@ -233,6 +207,13 @@ def qset_for_student(eco: Economy, cutoffs: CutoffProfile, i: int, j: int,
             raise QsetError("regime applies access deductions but no relation given")
         if umas.fingerprint != cutoffs.fingerprint():
             raise StaleUmasError("access relation was computed from other cutoffs")
+
+
+def qset_for_student(eco: Economy, cutoffs: CutoffProfile, i: int, j: int,
+                     regime: Regime,
+                     umas: UmasRelation | None = None) -> PairSet:
+    """Candidate set of true local pairs for student ``i`` at school ``j``."""
+    check_inputs(eco, cutoffs, regime, umas)
     below, above_b = counterfactual_sets(eco, cutoffs, i, j)
     above = eco.score(i, j) >= cutoffs.cutoff(j)
     return build_qset(eco.reports[i], below, above_b, above,

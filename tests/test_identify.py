@@ -24,12 +24,18 @@ from cutoffbounds import (
     solve_bounds_on_event,
     union_closure,
 )
+from cutoffbounds import identify
+from cutoffbounds.bounds import sharp_bounds_finite
 from cutoffbounds.identify import (
+    DistPolytope,
     IdentifyError,
     default_partitions,
     event_prob,
     support_family,
 )
+from cutoffbounds.localpref import local_pair
+from cutoffbounds.qsets import qset_for_student
+from cutoffbounds.simplex import FEAS_TOL, LPResult, SimplexError
 
 SPO_U = regime_from_label("spo+umas")
 WPO = regime_from_label("wpo")
@@ -229,3 +235,46 @@ def test_default_partitions_cover_and_name(golden):
             assert not (seen & cell)
             seen |= cell
         assert len(seen) == 25
+
+
+def test_local_obs_match_the_per_student_helpers(golden):
+    eco, cuts = golden.economy, golden.cutoffs
+    rel = detect_umas(eco, cuts)
+    loc = select_local_sample(eco, cuts, 4, golden.bandwidth)
+    for regime in (WPO, SPO_U):
+        umas = rel if regime.umas else None
+        plus, minus = collect_local_obs(eco, cuts, loc, regime, umas)
+        for obs, ids in ((plus, loc.plus_ids), (minus, loc.minus_ids)):
+            assert [(o.qset, o.reported_pair, o.y) for o in obs] == [
+                (qset_for_student(eco, cuts, i, 4, regime, umas),
+                 local_pair(eco, cuts, i, 4, use="reported"),
+                 float(eco.y_observed[i])) for i in ids]
+
+
+def _crossed_solver(gap):
+    """An LP solver whose max comes back ``gap`` below its min of 0.25."""
+
+    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+              tol=FEAS_TOL, maximize=False):
+        return LPResult("optimal", value=0.25 - gap if maximize else 0.25)
+
+    return solve
+
+
+def test_crossed_lp_ends_read_as_a_point_or_raise(monkeypatch):
+    poly = DistPolytope(atoms=((4, 2),), rows=((frozenset({(4, 2)}), 0.25),))
+    side = [_obs({(4, 2)}, 1.0)]
+    stats = containment_stats(side, "plus")
+
+    def both():
+        lo_hi = solve_bounds_on_event(poly, [(4, 2)])
+        sharp = sharp_bounds_finite(side, None, stats, None, (4, 2))
+        return lo_hi, (sharp.lower, sharp.upper)
+
+    monkeypatch.setattr(identify, "solve_lp", _crossed_solver(6e-16))
+    assert both() == ((0.25, 0.25), (0.25, 0.25))
+    monkeypatch.setattr(identify, "solve_lp", _crossed_solver(10 * FEAS_TOL))
+    with pytest.raises(SimplexError, match="below"):
+        solve_bounds_on_event(poly, [(4, 2)])
+    with pytest.raises(SimplexError, match="below"):
+        sharp_bounds_finite(side, None, stats, None, (4, 2))

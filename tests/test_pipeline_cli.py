@@ -4,17 +4,25 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
+from cutoffbounds import pipeline
 from cutoffbounds.cli import main
+from cutoffbounds.identify import (build_polytope, collect_local_obs,
+                                   containment_stats, delta_bounds,
+                                   falsification_test)
 from cutoffbounds.io import dump_json, write_economy, write_matching
+from cutoffbounds.localpref import select_local_sample
 from cutoffbounds.pipeline import (
     PipelineError,
     RunConfig,
+    resolve_source,
     run_pipeline,
     write_report,
 )
+from cutoffbounds.qsets import detect_umas, regime_from_label
 
 ARTIFACTS = ("students.csv", "rols.csv", "outcomes.csv", "truth.csv",
              "matching.csv", "cutoffs.csv", "pairs.csv", "qsets.csv",
@@ -69,7 +77,7 @@ def test_config_validation():
 
 
 def test_from_dict_round_trip():
-    cfg = RunConfig(preset="golden-sd", seed=5, threads=2,
+    cfg = RunConfig(preset="golden-sd", seed=5,
                     regimes=("wpo", "spo"), falsification_allowance=0.25,
                     bandwidth=12.0, out_dir="elsewhere")
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -256,7 +264,7 @@ def test_showcase_manifest_statuses(showcase_run):
 
 
 # ---------------------------------------------------------------------------
-# determinism and threading
+# determinism
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -268,13 +276,63 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / name).read_bytes() == first[name], name
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    kw = dict(preset="strategic-showcase", sample_n=2000, seed=1)
-    run_pipeline(RunConfig(out_dir=str(tmp_path / "a"), threads=1, **kw))
-    run_pipeline(RunConfig(out_dir=str(tmp_path / "b"), threads=2, **kw))
-    for name in ("bounds.json", "identify.json"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+# ---------------------------------------------------------------------------
+# one window per (school, regime)
+
+# school 3 has two fallback pairs, (3, 1) and (3, 2), both analysed
+SHARED_WINDOW_DGP = {"n_students": 4000, "n_schools": 6, "list_cap": 3,
+                     "score_mode": "sd", "outcome": {"kind": "binary"},
+                     "reporting": {"model": "belief_skip", "noise_sd": 20}}
+
+
+def test_pairs_at_one_school_share_its_window(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    counted("collect_local_obs")
+    counted("containment_stats")
+    cfg = RunConfig(dgp=SHARED_WINDOW_DGP, seed=1, out_dir=str(tmp_path),
+                    falsification_action="warn")
+    manifest = run_pipeline(cfg)
+    schools = Counter(j for j, _ in manifest["pairs"])
+    assert max(schools.values()) >= 2
+    n_windows = len(schools) * len(cfg.regimes)
+    assert calls == {"collect_local_obs": n_windows,
+                     "containment_stats": 2 * n_windows}
+    monkeypatch.undo()
+
+    # every block equals a recomputation for its pair alone
+    data = resolve_source(cfg)
+    eco, cuts = data.economy, data.cutoffs
+    umas = detect_umas(eco, cuts, min_witnesses=cfg.min_witnesses)
+    blocks = json.loads((tmp_path / "identify.json").read_text())
+    assert len(blocks) == len(manifest["pairs"]) * len(cfg.regimes)
+    shared_bounds = 0
+    for blk in blocks:
+        jk = tuple(blk["pair"])
+        regime = regime_from_label(blk["regime"])
+        sample = select_local_sample(eco, cuts, jk[0], data.bandwidth)
+        plus, minus = collect_local_obs(eco, cuts, sample, regime,
+                                        umas if regime.umas else None)
+        sp = containment_stats(plus, "plus")
+        sm = containment_stats(minus, "minus")
+        fals = falsification_test(sp, sm, eco.n_schools, pair=jk)
+        assert [c["statistic"] for c in blk["falsification"]["checks"]] == \
+            [c.statistic for c in fals.checks]
+        if blk["p_lower"] is not None:
+            delta = delta_bounds(build_polytope(sp, sm), jk, plus, minus)
+            assert (blk["p_lower"], blk["p_upper"]) == \
+                (delta.p_lower, delta.p_upper)
+            shared_bounds += schools[jk[0]] >= 2
+    assert shared_bounds >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from cutoffbounds import (
     StaleUmasError,
     UmasRelation,
     build_qset,
+    collect_local_obs,
     detect_umas,
     qset_for_student,
-    refine_umas,
     regime_from_label,
+    select_local_sample,
 )
 from cutoffbounds.qsets import QsetError
 
@@ -85,16 +86,17 @@ def test_access_deductions_prune_candidates():
     assert q2 == frozenset({(4, 2), (4, 3)})
 
 
-def test_refine_matches_building_with_the_relation():
-    rel = UmasRelation(frozenset({(2, 1), (2, 3)}), fingerprint="t")
-    base = build_qset((4, 2, 1), B_MINUS, B_PLUS, True, 3, WPO)
-    assert refine_umas(base, (4, 2, 1), True, rel) == \
-        build_qset((4, 2, 1), B_MINUS, B_PLUS, True, 3, WPO_U, umas=rel)
-    # the anchor pair survives any relation
+def test_anchor_survives_any_relation():
+    # every school pair related: each unlisted candidate dies, the anchor stays
     heavy = UmasRelation(
         frozenset({(d, e) for d in range(1, 5) for e in range(1, 5) if d != e}),
         fingerprint="t")
-    assert (4, 2) in refine_umas(base, (4, 2, 1), True, heavy)
+    for report, above, anchor in (((4, 2, 1), True, (4, 2)),
+                                  ((2, 1, 3), False, (2, 2))):
+        for regime in (WPO_U, SPO_U):
+            q = build_qset(report, B_MINUS, B_PLUS, above, 3, regime,
+                           umas=heavy)
+            assert q == frozenset({anchor})
 
 
 def test_detect_umas_golden(golden):
@@ -113,6 +115,11 @@ def test_stale_relation_is_rejected(golden):
         qset_for_student(eco, cuts, 0, 4, SPO_U, umas=stale)
     with pytest.raises(QsetError):
         qset_for_student(eco, cuts, 0, 4, SPO_U, umas=None)
+    window = select_local_sample(eco, cuts, 4, golden.bandwidth)
+    with pytest.raises(StaleUmasError):
+        collect_local_obs(eco, cuts, window, SPO_U, umas=stale)
+    with pytest.raises(QsetError):
+        collect_local_obs(eco, cuts, window, SPO_U, umas=None)
 
 
 def test_qsets_for_golden_window_students(golden):
@@ -169,7 +176,6 @@ def test_regime_nesting_and_refinement_random_configs():
             spo_u = build_qset(report, below, above_b, above, cap, SPO_U,
                                umas=rel)
             assert spo <= wpo and wpo_u <= wpo and spo_u <= spo
-            assert refine_umas(wpo, report, above, rel) == wpo_u
 
 
 def test_matches_order_enumeration_with_twin_gaps():
