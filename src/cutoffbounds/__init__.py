@@ -19,18 +19,19 @@ from .economy import (DGPConfig, Economy, EconomyError, EconomyTruth, OUTSIDE,
 from .identify import (ClosureCapError, DeltaBounds, FalsificationSignal,
                        InfeasiblePolytopeError, LocalObs, build_polytope,
                        collect_local_obs, containment_stats, delta_bounds,
-                       falsification_test, solve_bounds_on_event,
+                       falsification_test, local_obs, solve_bounds_on_event,
                        support_family, union_closure)
 from .localpref import (ComparablePair, LocalSample, budget_set,
-                        counterfactual_sets, find_comparable_pairs,
-                        local_pair, select_local_sample)
+                        comparable_pairs, counterfactual_sets,
+                        find_comparable_pairs, local_pair, local_samples,
+                        select_local_sample, window_budgets)
 from .mechanism import (CutoffProfile, Matching, audit_cutoff_characterization,
                         audit_stability_wrt_reports, extract_cutoffs, run_da,
                         run_sd)
 from .pipeline import (RunConfig, __version__, run_pipeline, write_report)
 from .qsets import (EMPTY_UMAS, REGIMES, Regime, StaleUmasError, UmasRelation,
                     build_qset, detect_umas, qset_for_student,
-                    regime_from_label)
+                    regime_from_label, window_qsets)
 
 __all__ = [
     "ClosureCapError", "ComparablePair", "CutoffProfile", "DGPConfig",
@@ -41,12 +42,13 @@ __all__ = [
     "ReportingModel", "RunConfig", "SideBounds", "StaleUmasError",
     "UmasRelation", "__version__", "audit_cutoff_characterization",
     "audit_stability_wrt_reports", "binary_bounds", "budget_set",
-    "build_polytope", "build_qset", "collect_local_obs", "containment_stats",
-    "counterfactual_sets", "delta_bounds", "detect_umas", "effect_bounds",
-    "extract_cutoffs", "falsification_test", "find_comparable_pairs",
-    "generate_economy", "generate_reports", "hm_side_bounds", "local_pair",
-    "naive_rd", "observe_outcomes", "qset_for_student", "regime_from_label",
-    "run_da", "run_pipeline", "run_sd", "select_local_sample",
-    "sharp_bounds_finite", "solve_bounds_on_event", "support_family",
-    "trimming_bounds_continuous", "union_closure", "write_report",
+    "build_polytope", "build_qset", "collect_local_obs", "comparable_pairs",
+    "containment_stats", "counterfactual_sets", "delta_bounds", "detect_umas",
+    "effect_bounds", "extract_cutoffs", "falsification_test",
+    "find_comparable_pairs", "generate_economy", "generate_reports",
+    "hm_side_bounds", "local_obs", "local_pair", "local_samples", "naive_rd",
+    "observe_outcomes", "qset_for_student", "regime_from_label", "run_da",
+    "run_pipeline", "run_sd", "select_local_sample", "sharp_bounds_finite",
+    "solve_bounds_on_event", "support_family", "trimming_bounds_continuous",
+    "union_closure", "window_budgets", "window_qsets", "write_report",
 ]

@@ -90,8 +90,7 @@ class Economy:
         if self.reports is not None:
             if len(self.reports) != self.n_students:
                 raise EconomyError("reports must have one list per student")
-            for i, rol in enumerate(self.reports):
-                validate_report(rol, J, self.list_cap, who=f"student {i}")
+            validate_reports(self.reports, J, self.list_cap)
 
     @property
     def n_students(self) -> int:
@@ -123,6 +122,23 @@ def validate_report(rol: Sequence[int], n_schools: int, list_cap: int,
     for j in rol:
         if not 1 <= j <= n_schools:
             raise EconomyError(f"{who}: school id {j} out of range")
+
+
+def validate_reports(reports: Sequence[tuple[int, ...]], n_schools: int,
+                     list_cap: int) -> None:
+    """``validate_report`` on every list, list ``i`` named "student i".
+
+    Each distinct list is checked once; only when one fails are the lists
+    gone through in order to name the first student holding a bad one.
+    """
+    try:
+        for rol in set(reports):
+            validate_report(rol, n_schools, list_cap)
+        return
+    except (EconomyError, TypeError):      # a bad or unhashable list
+        pass
+    for i, rol in enumerate(reports):
+        validate_report(rol, n_schools, list_cap, who=f"student {i}")
 
 
 # ---------------------------------------------------------------------------

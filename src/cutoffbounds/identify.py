@@ -12,13 +12,15 @@ falsifies the assumed reporting discipline.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .localpref import best_reported, counterfactual_sets
-from .qsets import Pair, PairSet, Regime, UmasRelation, build_qset, check_inputs
+from .localpref import LocalSample
+from .qsets import (Pair, PairSet, Regime, UmasRelation, WindowQsets,
+                    window_qsets)
 from .simplex import FEAS_TOL, SimplexError, solve_lp
 
 
@@ -70,26 +72,24 @@ def event_prob(obs: Sequence[LocalObs], pair: Pair) -> float:
     return float(hit / tot)
 
 
-def collect_local_obs(eco, cutoffs, sample, regime: Regime,
+def collect_local_obs(eco, cutoffs, sample: LocalSample, regime: Regime,
                       umas: UmasRelation | None = None,
                       ) -> tuple[list[LocalObs], list[LocalObs]]:
     """Window students as local records, one list per side of the cutoff."""
+    return local_obs(eco, sample,
+                     window_qsets(eco, cutoffs, sample, regime, umas))
+
+
+def local_obs(eco, sample: LocalSample,
+              qsets: WindowQsets) -> tuple[list[LocalObs], list[LocalObs]]:
+    """Window students as local records, given their candidate sets as
+    ``qsets.window_qsets`` returns them."""
     if eco.y_observed is None:
         raise IdentifyError("economy has no observed outcomes")
-    check_inputs(eco, cutoffs, regime, umas)
-    out: tuple[list[LocalObs], list[LocalObs]] = ([], [])
-    for store, ids, above in zip(out, (sample.plus_ids, sample.minus_ids),
-                                 (True, False)):
-        for i in ids:
-            below_b, above_b = counterfactual_sets(eco, cutoffs, i,
-                                                   sample.school)
-            rol = eco.reports[i]
-            qset = build_qset(rol, below_b, above_b, above, eco.list_cap,
-                              regime, umas)
-            rep = (best_reported(rol, above_b), best_reported(rol, below_b))
-            store.append(LocalObs(qset=qset, y=float(eco.y_observed[i]),
-                                  reported_pair=rep))
-    return out
+    ys = eco.y_observed[list(sample.ids)].astype(float).tolist()
+    obs = [LocalObs(qset=q, y=y, reported_pair=rep)
+           for q, y, rep in zip(itertools.chain(*qsets), ys, sample.reported)]
+    return obs[:sample.n_plus], obs[sample.n_plus:]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -43,14 +44,72 @@ def _parse_int(text: str, where: str) -> int:
         raise IngestError(f"{where}: not an integer: {text!r}") from None
 
 
-def _read_rows(path: Path, expected: Sequence[str]) -> list[dict[str, str]]:
+_CHECKED = {int: _parse_int, float: _parse_float}
+
+
+def _read_table(path: Path, expected: Sequence[str]) -> list[list[str]]:
+    """Data rows of a CSV file whose header must be ``expected``.
+
+    Blank lines are skipped, so the row numbers in messages count the rows
+    that carry data, the header being row 1.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        head = reader.fieldnames or []
-        if list(head) != list(expected):
+        reader = csv.reader(fh)
+        head = next(reader, [])
+        if head != list(expected):
             raise IngestError(
                 f"{path.name}: header {head} != expected {list(expected)}")
-        return [dict(row) for row in reader]
+        return [row for row in reader if row]
+
+
+def _numbered(path: Path, rows: Sequence[list[str]], n_fields: int):
+    """``(where, row)`` per row, ``where`` naming the file and the row,
+    once the row is known to have ``n_fields`` fields."""
+    for ln, row in enumerate(rows, start=2):
+        where = f"{path.name} row {ln}"
+        if len(row) != n_fields:
+            raise IngestError(f"{where}: expected {n_fields} fields")
+        yield where, row
+
+
+def _columns(rows: Sequence[list[str]],
+             types: Sequence[type]) -> list[list] | None:
+    """Each column converted by its type (``int`` or ``float``) in one pass.
+
+    None when a row has the wrong number of fields or a value does not
+    convert: the caller then reads the rows one by one, which finds the
+    first bad row and names it.
+    """
+    if not rows:
+        return [[] for _ in types]
+    if set(map(len, rows)) != {len(types)}:
+        return None
+    try:
+        return [list(map(t, map(itemgetter(k), rows)))
+                for k, t in enumerate(types)]
+    except ValueError:
+        return None
+
+
+def _read_keyed(path: Path, header: Sequence[str], kind: type,
+                duplicate: str) -> dict[int, Any]:
+    """``{key: value}`` from a file of integer keys and ``kind`` values.
+
+    ``duplicate`` is the message for a repeated key, formatted with it.
+    """
+    rows = _read_table(path, header)
+    cols = _columns(rows, (int, kind))
+    if cols is not None:
+        out = dict(zip(*cols))
+        if len(out) == len(rows):
+            return out
+    out = {}
+    for where, row in _numbered(path, rows, 2):
+        key = _parse_int(row[0], where)
+        if key in out:
+            raise IngestError(f"{where}: {duplicate.format(key)}")
+        out[key] = _CHECKED[kind](row[1], where)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +139,20 @@ def read_students(path: Path) -> tuple[list[int], np.ndarray]:
         want = [f"s_{j}" for j in range(1, len(head))]
         if head[1:] != want:
             raise IngestError(f"{path.name}: score columns must be {want}")
-        ids, rows = [], []
-        for ln, row in enumerate(reader, start=2):
-            where = f"{path.name} row {ln}"
-            if len(row) != len(head):
-                raise IngestError(f"{where}: expected {len(head)} fields")
-            ids.append(_parse_int(row[0], where))
-            rows.append([_parse_float(v, where) for v in row[1:]])
+        rows = list(reader)
+    types = (int,) + (float,) * (len(head) - 1)
+    cols = _columns(rows, types)
+    if cols is None:
+        cols = [[] for _ in types]
+        for where, row in _numbered(path, rows, len(head)):
+            for col, t, text in zip(cols, types, row):
+                col.append(_CHECKED[t](text, where))
+    ids = cols[0]
     if not ids:
         raise IngestError(f"{path.name}: no students")
     if len(set(ids)) != len(ids):
         raise IngestError(f"{path.name}: duplicate student ids")
-    return ids, np.array(rows)
+    return ids, np.array(cols[1:]).T.copy()
 
 
 def infer_score_groups(per_school: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -129,15 +190,60 @@ def write_rols(path: Path, eco: Economy) -> None:
 
 def read_rols(path: Path, ids: Sequence[int],
               n_schools: int, list_cap: int) -> tuple[tuple[int, ...], ...]:
-    rows = _read_rows(path, ["id", "rank", "school_id"])
+    """Each student's list, in the order of ``ids``.
+
+    Rows may come in any order.  The columns are parsed and checked at
+    once; only when a check fails are the rows read one by one, which
+    finds the failing row or student and names it.
+    """
+    rows = _read_table(path, ["id", "rank", "school_id"])
+    reports = _rols_by_columns(rows, ids, n_schools, list_cap)
+    if reports is None:
+        reports = _rols_by_rows(path, rows, ids, n_schools, list_cap)
+    return reports
+
+
+def _rols_by_columns(rows, ids, n_schools, list_cap):
+    """The lists, or None when any row or list fails a check."""
+    cols = _columns(rows, (int, int, int))
+    if cols is None or not rows:
+        return None
+    sid, rank, school = cols
+    position = {s: k for k, s in enumerate(ids)}
+    owner = list(map(position.get, sid))
+    if None in owner:
+        return None                            # unknown student id
+    if (min(rank) < 1 or max(rank) > list_cap
+            or min(school) < 1 or max(school) > n_schools):
+        return None
+    owner, rank, school = np.array(owner), np.array(rank), np.array(school)
+    order = np.lexsort((rank, owner))
+    owner, rank, school = owner[order], rank[order], school[order]
+    counts = np.bincount(owner, minlength=len(ids))
+    if not counts.all():
+        return None                            # a student without rows
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    if not np.array_equal(rank - 1, np.arange(len(rank)) - first):
+        return None                            # ranks not 1..length
+    listed = np.sort(owner * (n_schools + 1) + school)
+    if (listed[1:] == listed[:-1]).any():
+        return None                            # a school listed twice
+    flat = school.tolist()
+    ends = np.cumsum(counts).tolist()
+    return tuple(map(tuple, map(flat.__getitem__,
+                                map(slice, [0] + ends[:-1], ends))))
+
+
+def _rols_by_rows(path, rows, ids, n_schools, list_cap):
+    """The lists read row by row: every check in file order, then in the
+    order of ``ids``, so the first failure is the one reported."""
     known = set(ids)
     by_student: dict[int, dict[int, int]] = {}
     row_of: dict[tuple[int, int], int] = {}
-    for ln, row in enumerate(rows, start=2):
-        where = f"{path.name} row {ln}"
-        sid = _parse_int(row["id"], where)
-        rank = _parse_int(row["rank"], where)
-        school = _parse_int(row["school_id"], where)
+    for ln, (where, row) in enumerate(_numbered(path, rows, 3), start=2):
+        sid = _parse_int(row[0], where)
+        rank = _parse_int(row[1], where)
+        school = _parse_int(row[2], where)
         if sid not in known:
             raise IngestError(f"{where}: unknown student id {sid}")
         ranks = by_student.setdefault(sid, {})
@@ -182,14 +288,8 @@ def write_outcomes(path: Path, eco: Economy) -> None:
 
 
 def read_outcomes(path: Path, ids: Sequence[int]) -> np.ndarray:
-    rows = _read_rows(path, ["id", "y_observed"])
-    seen: dict[int, float] = {}
-    for ln, row in enumerate(rows, start=2):
-        where = f"{path.name} row {ln}"
-        sid = _parse_int(row["id"], where)
-        if sid in seen:
-            raise IngestError(f"{where}: duplicate outcome for student {sid}")
-        seen[sid] = _parse_float(row["y_observed"], where)
+    seen = _read_keyed(path, ["id", "y_observed"], float,
+                       "duplicate outcome for student {}")
     missing = [sid for sid in ids if sid not in seen]
     if missing:
         raise IngestError(f"{path.name}: no outcome for students {missing[:5]}")
@@ -215,17 +315,16 @@ def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
     J = n_schools
     head = (["id"] + [f"q_{r}" for r in range(1, J + 2)]
             + [f"y_{d}" for d in range(J + 1)])
-    rows = _read_rows(path, head)
+    rows = _read_table(path, head)
     orders: dict[int, list[int]] = {}
     pots: dict[int, list[float]] = {}
-    for ln, row in enumerate(rows, start=2):
-        where = f"{path.name} row {ln}"
-        sid = _parse_int(row["id"], where)
-        order = [_parse_int(row[f"q_{r}"], where) for r in range(1, J + 2)]
+    for where, row in _numbered(path, rows, len(head)):
+        sid = _parse_int(row[0], where)
+        order = [_parse_int(v, where) for v in row[1:J + 2]]
         if sorted(order) != list(range(J + 1)):
             raise IngestError(f"{where}: order must permute 0..{J}")
         orders[sid] = order
-        pots[sid] = [_parse_float(row[f"y_{d}"], where) for d in range(J + 1)]
+        pots[sid] = [_parse_float(v, where) for v in row[J + 2:]]
     missing = [sid for sid in ids if sid not in orders]
     if missing:
         raise IngestError(f"{path.name}: no truth row for students {missing[:5]}")
@@ -242,14 +341,8 @@ def write_matching(path: Path, assignment: Sequence[int]) -> None:
 
 
 def read_matching(path: Path, ids: Sequence[int]) -> np.ndarray:
-    rows = _read_rows(path, ["id", "assigned_school"])
-    seen: dict[int, int] = {}
-    for ln, row in enumerate(rows, start=2):
-        where = f"{path.name} row {ln}"
-        sid = _parse_int(row["id"], where)
-        if sid in seen:
-            raise IngestError(f"{where}: duplicate assignment for {sid}")
-        seen[sid] = _parse_int(row["assigned_school"], where)
+    seen = _read_keyed(path, ["id", "assigned_school"], int,
+                       "duplicate assignment for {}")
     missing = [sid for sid in ids if sid not in seen]
     if missing:
         raise IngestError(f"{path.name}: no assignment for students {missing[:5]}")
@@ -265,15 +358,8 @@ def write_cutoffs(path: Path, values: Mapping[int, float]) -> None:
 
 
 def read_cutoffs(path: Path) -> dict[int, float]:
-    rows = _read_rows(path, ["school_id", "cutoff"])
-    out: dict[int, float] = {}
-    for ln, row in enumerate(rows, start=2):
-        where = f"{path.name} row {ln}"
-        j = _parse_int(row["school_id"], where)
-        if j in out:
-            raise IngestError(f"{where}: duplicate school {j}")
-        out[j] = _parse_float(row["cutoff"], where)
-    return out
+    return _read_keyed(path, ["school_id", "cutoff"], float,
+                       "duplicate school {}")
 
 
 # ---------------------------------------------------------------------------

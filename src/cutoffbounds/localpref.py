@@ -12,6 +12,7 @@ order or the submitted list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,7 +103,13 @@ def local_pair(eco: Economy, cutoffs: CutoffProfile, i: int, j: int,
 
 @dataclass(frozen=True)
 class LocalSample:
-    """Students inside a (possibly trimmed) score window around one cutoff."""
+    """Students inside a (possibly trimmed) score window around one cutoff.
+
+    Each window student's two counterfactual budget sets at the school
+    (``budgets``, just-below then just-above) and reported local pair
+    (``reported``, None when the economy has no submitted lists) are
+    derived once, with the sample, in the order of ``ids``.
+    """
 
     school: int
     cutoff: float
@@ -110,6 +117,13 @@ class LocalSample:
     h_plus: float
     plus_ids: tuple[int, ...]
     minus_ids: tuple[int, ...]
+    budgets: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    reported: tuple[tuple[int, int], ...] | None
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """Window students, plus side first."""
+        return self.plus_ids + self.minus_ids
 
     @property
     def n_plus(self) -> int:
@@ -118,6 +132,25 @@ class LocalSample:
     @property
     def n_minus(self) -> int:
         return len(self.minus_ids)
+
+
+def window_budgets(eco: Economy, cutoffs: CutoffProfile, j: int,
+                   ids: Sequence[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """``counterfactual_sets`` at school ``j`` for each of ``ids`` at once.
+
+    Students who clear the same schools share one pair of sets.
+    """
+    if not ids:
+        return []
+    scores = eco.score_cols[np.asarray(ids)][:, list(eco.score_groups)]
+    clears = scores >= np.asarray(cutoffs.values)
+    rows, which = np.unique(clears, axis=0, return_inverse=True)
+    twins = twin_schools(eco, cutoffs, j)
+    sets = []
+    for row in rows:
+        budget = frozenset([OUTSIDE, *(np.flatnonzero(row) + 1).tolist()])
+        sets.append((budget - twins, budget | twins))
+    return [sets[k] for k in which.reshape(-1).tolist()]
 
 
 def _trimmed_halfwidths(eco: Economy, cutoffs: CutoffProfile, j: int,
@@ -152,14 +185,33 @@ def select_local_sample(eco: Economy, cutoffs: CutoffProfile, j: int,
         raise LocalPrefError(f"school {j} admits nobody; no window exists")
     h_minus, h_plus = _trimmed_halfwidths(eco, cutoffs, j, bandwidth)
     scores = eco.school_scores(j)
-    lo, hi = cj - h_minus, cj + h_plus
-    plus, minus = [], []
-    for i in range(eco.n_students):
-        s = float(scores[i])
-        if lo < s < hi:
-            (plus if s >= cj else minus).append(i)
+    inside = np.flatnonzero((cj - h_minus < scores) & (scores < cj + h_plus))
+    above = scores[inside] >= cj
+    plus, minus = tuple(inside[above].tolist()), tuple(inside[~above].tolist())
+    budgets = tuple(window_budgets(eco, cutoffs, j, plus + minus))
+    reported = None
+    if eco.reports is not None:
+        reported = tuple(
+            (best_reported(eco.reports[i], a), best_reported(eco.reports[i], b))
+            for i, (b, a) in zip(plus + minus, budgets))
     return LocalSample(school=j, cutoff=cj, h_minus=h_minus, h_plus=h_plus,
-                       plus_ids=tuple(plus), minus_ids=tuple(minus))
+                       plus_ids=plus, minus_ids=minus, budgets=budgets,
+                       reported=reported)
+
+
+def local_samples(eco: Economy, cutoffs: CutoffProfile,
+                  bandwidth: float) -> dict[int, LocalSample]:
+    """The local sample of every school whose cutoff is interior.
+
+    Schools whose cutoff sits at the support floor (or at +inf) have no
+    discontinuity to study and get none.
+    """
+    out = {}
+    for j in range(1, eco.n_schools + 1):
+        cj = cutoffs.cutoff(j)
+        if np.isfinite(cj) and cj > cutoffs.floor:
+            out[j] = select_local_sample(eco, cutoffs, j, bandwidth)
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,26 +232,28 @@ def find_comparable_pairs(eco: Economy, cutoffs: CutoffProfile,
     whose reported local pair at j is exactly (j, k).
 
     Pairs whose first coordinate is some other school are redundant with
-    that school's own cutoff and are not emitted here.  Schools whose
-    cutoff sits at the support floor (or at +inf) have no interior
-    discontinuity and are skipped.
+    that school's own cutoff and are not emitted here.  Only schools with
+    an interior cutoff are scanned (see ``local_samples``).
     """
     if eco.reports is None:
         raise LocalPrefError("economy has no submitted lists")
+    return comparable_pairs(local_samples(eco, cutoffs, bandwidth).values(),
+                            min_local_n)
+
+
+def comparable_pairs(samples: Iterable[LocalSample],
+                     min_local_n: int) -> list[ComparablePair]:
+    """``find_comparable_pairs`` on local samples already drawn."""
     out: list[ComparablePair] = []
-    for j in range(1, eco.n_schools + 1):
-        cj = cutoffs.cutoff(j)
-        if not np.isfinite(cj) or cj <= cutoffs.floor:
-            continue
-        sample = select_local_sample(eco, cutoffs, j, bandwidth)
+    for sample in samples:
+        j = sample.school
+        if sample.reported is None:
+            raise LocalPrefError("economy has no submitted lists")
         counts: dict[int, list[int]] = {}
-        for side, ids in (("plus", sample.plus_ids), ("minus", sample.minus_ids)):
-            for i in ids:
-                a, b = local_pair(eco, cutoffs, i, j, use="reported")
-                if a != j or b == OUTSIDE or b == j:
-                    continue
-                rec = counts.setdefault(b, [0, 0])
-                rec[0 if side == "plus" else 1] += 1
+        for pos, (a, b) in enumerate(sample.reported):
+            if a != j or b == OUTSIDE or b == j:
+                continue
+            counts.setdefault(b, [0, 0])[pos >= sample.n_plus] += 1
         for k in sorted(counts):
             n_plus, n_minus = counts[k]
             if n_plus + n_minus >= min_local_n:

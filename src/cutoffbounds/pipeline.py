@@ -29,14 +29,14 @@ from .bounds import (BoundsError, IDENTITY, OutcomeTransform, effect_bounds,
                      hm_side_bounds, naive_rd, pair_subpop, sharp_bounds_finite)
 from .economy import DGPConfig, Economy, generate_economy, observe_outcomes
 from .identify import (ClosureCapError, ContainmentStats, FalsificationSignal,
-                       LocalObs, build_polytope, collect_local_obs,
-                       containment_stats, delta_bounds, falsification_test)
-from .localpref import (ComparablePair, LocalSample, find_comparable_pairs,
-                        select_local_sample)
+                       LocalObs, build_polytope, containment_stats,
+                       delta_bounds, falsification_test, local_obs)
+from .localpref import (ComparablePair, LocalSample, comparable_pairs,
+                        local_samples)
 from .mechanism import CutoffProfile, extract_cutoffs, run_da, run_sd
 from .presets import golden_sd, rigged_wpo, sample_economy, strategic_showcase_design
-from .qsets import (EMPTY_UMAS, QsetError, Regime, UmasRelation, detect_umas,
-                    qset_for_student, regime_from_label)
+from .qsets import (EMPTY_UMAS, QsetError, Regime, WindowQsets, detect_umas,
+                    regime_from_label, window_qsets)
 
 __version__ = "0.1.0"
 
@@ -341,11 +341,9 @@ class _Window:
     reason: str | None = None
 
 
-def _build_window(eco: Economy, cutoffs: CutoffProfile, sample: LocalSample,
-                  regime: Regime, umas: UmasRelation,
+def _build_window(eco: Economy, sample: LocalSample, qsets: WindowQsets,
                   closure_cap: int) -> _Window:
-    obs_plus, obs_minus = collect_local_obs(eco, cutoffs, sample, regime,
-                                            umas if regime.umas else None)
+    obs_plus, obs_minus = local_obs(eco, sample, qsets)
     try:
         stats_plus = (containment_stats(obs_plus, "plus", cap=closure_cap)
                       if obs_plus else None)
@@ -357,23 +355,25 @@ def _build_window(eco: Economy, cutoffs: CutoffProfile, sample: LocalSample,
     return _Window(obs_plus, obs_minus, stats_plus, stats_minus)
 
 
-def _analyze_pairs(data: RunData, pairs: Sequence[ComparablePair],
-                   regimes: Sequence[Regime], umas: UmasRelation,
+def _analyze_pairs(eco: Economy, pairs: Sequence[ComparablePair],
+                   samples: Mapping[int, LocalSample],
+                   qsets: Mapping[tuple[int, str], WindowQsets],
+                   regimes: Sequence[Regime],
                    outcomes: Sequence[OutcomeTransform],
                    cfg: RunConfig) -> list[ComboResult]:
     """Every (pair, regime) combination, pair-major.
 
     Pairs arrive grouped by school; each school's window is built once per
-    regime and analysed for all of that school's pairs, then dropped.
+    regime, from the candidate sets the qsets stage derived, and analysed
+    for all of that school's pairs, then dropped.
     """
-    eco = data.economy
     results: list[ComboResult] = []
     for school, group in itertools.groupby(pairs, key=lambda p: p.school):
         group = list(group)
-        sample = select_local_sample(eco, data.cutoffs, school, data.bandwidth)
         by_regime = []
         for regime in regimes:
-            window = _build_window(eco, data.cutoffs, sample, regime, umas,
+            window = _build_window(eco, samples[school],
+                                   qsets[school, regime.label],
                                    cfg.closure_cap)
             by_regime.append([analyze_combo(eco, p, regime, window, outcomes,
                                             cfg) for p in group])
@@ -551,8 +551,8 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
         return manifest
 
     t = time.perf_counter()
-    pairs = find_comparable_pairs(eco, data.cutoffs, data.bandwidth,
-                                  data.min_local_n)
+    samples = local_samples(eco, data.cutoffs, data.bandwidth)
+    pairs = comparable_pairs(samples.values(), data.min_local_n)
     with open(out_dir / "pairs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["school", "fallback", "n_local", "n_plus", "n_minus"])
@@ -571,7 +571,11 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
             if need_umas else EMPTY_UMAS)
 
     t = time.perf_counter()
-    _write_qsets_csv(out_dir, eco, data, pairs, regimes, umas)
+    qsets = {(j, regime.label): window_qsets(eco, data.cutoffs, samples[j],
+                                             regime,
+                                             umas if regime.umas else None)
+             for j in sorted({p.school for p in pairs}) for regime in regimes}
+    _write_qsets_csv(out_dir, samples, qsets)
     timings["qsets"] = time.perf_counter() - t
     if depth < 4:
         _finish_run(out_dir, manifest, timings, t0)
@@ -583,7 +587,8 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
             f" stage {stage!r} needs observed outcomes")
     t = time.perf_counter()
     outcomes = tuple(parse_outcome(s) for s in cfg.outcomes)
-    results = _analyze_pairs(data, pairs, regimes, umas, outcomes, cfg)
+    results = _analyze_pairs(eco, pairs, samples, qsets, regimes, outcomes,
+                             cfg)
     timings["analyze"] = time.perf_counter() - t
 
     identify_doc = [r.identify for r in results]
@@ -619,24 +624,17 @@ def _finish_run(out_dir: Path, manifest: dict[str, Any],
     io.dump_json(out_dir / "timing.json", {"seconds": timings})
 
 
-def _write_qsets_csv(out_dir: Path, eco: Economy, data: RunData,
-                     pairs: Sequence[ComparablePair],
-                     regimes: Sequence[Regime], umas: UmasRelation) -> None:
-    schools = sorted({p.school for p in pairs})
+def _write_qsets_csv(out_dir: Path, samples: Mapping[int, LocalSample],
+                     qsets: Mapping[tuple[int, str], WindowQsets]) -> None:
     with open(out_dir / "qsets.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["school", "regime", "student_id", "side", "qset"])
-        for j in schools:
-            sample = select_local_sample(eco, data.cutoffs, j, data.bandwidth)
-            for regime in regimes:
-                rel = umas if regime.umas else None
-                for side, ids in (("plus", sample.plus_ids),
-                                  ("minus", sample.minus_ids)):
-                    for i in ids:
-                        q = qset_for_student(eco, data.cutoffs, i, j,
-                                             regime, rel)
-                        writer.writerow([j, regime.label, i, side,
-                                         _serialize_qset(q)])
+        for (j, label), (plus, minus) in qsets.items():
+            text = {q: _serialize_qset(q) for q in {*plus, *minus}}
+            for side, ids, sets in (("plus", samples[j].plus_ids, plus),
+                                    ("minus", samples[j].minus_ids, minus)):
+                writer.writerows([j, label, i, side, text[q]]
+                                 for i, q in zip(ids, sets))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .economy import OUTSIDE, Economy
-from .localpref import best_reported, counterfactual_sets
+from .localpref import LocalSample, best_reported, counterfactual_sets
 from .mechanism import CutoffProfile
 
 Pair = tuple[int, int]
 PairSet = frozenset[Pair]
+# the candidate sets of a window's students: plus side, minus side
+WindowQsets = tuple[list[PairSet], list[PairSet]]
 
 
 class QsetError(ValueError):
@@ -207,6 +209,26 @@ def check_inputs(eco: Economy, cutoffs: CutoffProfile, regime: Regime,
             raise QsetError("regime applies access deductions but no relation given")
         if umas.fingerprint != cutoffs.fingerprint():
             raise StaleUmasError("access relation was computed from other cutoffs")
+
+
+def window_qsets(eco: Economy, cutoffs: CutoffProfile, sample: LocalSample,
+                 regime: Regime,
+                 umas: UmasRelation | None = None) -> WindowQsets:
+    """Candidate sets of a window's students, plus side then minus side.
+
+    The budget sets come with the sample; ``cutoffs`` must be the ones it
+    was drawn at, and the ones ``umas`` was derived from.  Students with
+    the same list, budget sets and side share one set, built once.
+    """
+    check_inputs(eco, cutoffs, regime, umas)
+    n_plus = sample.n_plus
+    profiles = [(eco.reports[i], below, above, pos < n_plus)
+                for pos, (i, (below, above)) in enumerate(zip(sample.ids,
+                                                              sample.budgets))]
+    built = {p: build_qset(*p, eco.list_cap, regime, umas)
+             for p in set(profiles)}
+    sets = [built[p] for p in profiles]
+    return sets[:n_plus], sets[n_plus:]
 
 
 def qset_for_student(eco: Economy, cutoffs: CutoffProfile, i: int, j: int,

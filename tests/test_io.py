@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cutoffbounds import Economy
 from cutoffbounds.io import (
     IngestError,
+    _rols_by_columns,
+    _rols_by_rows,
     dump_json,
     file_checksum,
     infer_score_groups,
@@ -21,6 +29,7 @@ from cutoffbounds.io import (
     read_outcomes,
     read_rols,
     read_students,
+    read_truth,
     write_cutoffs,
     write_economy,
     write_matching,
@@ -86,6 +95,56 @@ def test_unsorted_ids_are_reordered(tmp_path):
         "id,rank,school_id\n7,1,1\n2,1,1\n5,1,1\n")
     eco = load_economy(tmp_path, list_cap=1, capacities=(2,))
     assert eco.score_cols[:, 0].tolist() == [300.0, 200.0, 100.0]
+
+
+@st.composite
+def small_economies(draw):
+    """Economies of up to 8 students and 4 schools with lists and outcomes.
+
+    Score groups are numbered in order of first use, and each group's
+    column sits in its own range, so reading them back can only find the
+    grouping drawn.
+    """
+    J = draw(st.integers(1, 4))
+    groups = [0]
+    for _ in range(J - 1):
+        groups.append(draw(st.integers(0, max(groups) + 1)))
+    n = draw(st.integers(1, 8))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    base = np.array(draw(st.lists(st.lists(finite, min_size=max(groups) + 1,
+                                           max_size=max(groups) + 1),
+                                  min_size=n, max_size=n)))
+    cols = base + 1e7 * np.arange(base.shape[1])
+    cap = draw(st.integers(1, 3))
+    reports = tuple(tuple(draw(st.lists(st.integers(1, J), min_size=1,
+                                        max_size=cap, unique=True)))
+                    for _ in range(n))
+    y = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    return Economy(n_schools=J, list_cap=cap, capacities=(1,) * J,
+                   score_groups=tuple(groups), score_cols=cols,
+                   reports=reports, y_observed=y)
+
+
+def _shuffle_rows(path, rnd):
+    head, *rows = path.read_text().splitlines()
+    rnd.shuffle(rows)
+    path.write_text("\n".join([head] + rows) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(eco=small_economies(), rnd=st.randoms(use_true_random=False))
+def test_round_trip_with_rows_in_any_order(eco, rnd):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_economy(d, eco)
+        _shuffle_rows(d / "students.csv", rnd)
+        _shuffle_rows(d / "rols.csv", rnd)
+        back = load_economy(d, list_cap=eco.list_cap,
+                            capacities=eco.capacities)
+    assert back.reports == eco.reports
+    assert np.array_equal(back.score_cols, eco.score_cols)
+    assert back.score_groups == eco.score_groups
+    assert np.array_equal(back.y_observed, eco.y_observed)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +232,76 @@ def test_rols_enforce_cap_and_school_range(tmp_path):
         read_rols(p, ids=[0], n_schools=3, list_cap=2)
 
 
+def test_rols_duplicate_rank_out_of_order_cites_rows_in_file_order(tmp_path):
+    # sorted by (id, rank) the repeated rank would come first; blank lines
+    # are not rows
+    p = _rols(tmp_path, "1,1,3\n0,2,1\n\n0,1,2\n1,2,1\n0,1,3\n")
+    with pytest.raises(IngestError, match=r"^rols\.csv row 6: duplicate rank"
+                       r" 1 for student 0 \(first at row 4\)$"):
+        read_rols(p, ids=[0, 1], n_schools=3, list_cap=2)
+
+
+@pytest.mark.parametrize("bad, text", [("x,2,1", "'x'"), ("0,two,1", "'two'"),
+                                       ("0,2,1.0", "'1.0'")])
+def test_rols_non_integer_fields_name_the_row(tmp_path, bad, text):
+    p = _rols(tmp_path, f"0,1,2\n{bad}\n")
+    with pytest.raises(IngestError,
+                       match=rf"^rols\.csv row 3: not an integer: {text}$"):
+        read_rols(p, ids=[0], n_schools=3, list_cap=2)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,1,1\n0,2,2\n0,3,3\n", "student 0: list length 3 outside 1..2"),
+    ("0,1,4\n", "student 0: school id 4 out of range"),
+    ("0,1,1\n0,2,1\n", "student 0: duplicate school in list"),
+])
+def test_rols_list_checks_name_the_student(tmp_path, rows, message):
+    p = _rols(tmp_path, rows)
+    with pytest.raises(IngestError, match=f"^{re.escape('rols.csv: ' + message)}$"):
+        read_rols(p, ids=[0], n_schools=3, list_cap=2)
+
+
+@st.composite
+def edited_rols_rows(draw):
+    """Rows of valid lists of students 0..2 (3 schools, cap 2), shuffled,
+    then edited up to twice: a value replaced, a row dropped, repeated,
+    cut short or extended."""
+    rows = [[str(sid), str(rank), str(j)]
+            for sid in range(3)
+            for rank, j in enumerate(draw(st.lists(
+                st.integers(1, 3), min_size=1, max_size=2, unique=True)), 1)]
+    rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[k])
+        edit = draw(st.sampled_from(["set", "drop", "repeat", "cut", "extend"]))
+        if edit == "set":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(
+                ["0", "1", "2", "3", "-1", "x", "1.0", " 2"]))
+            rows[k] = row
+        elif edit == "drop" and len(rows) > 1:
+            del rows[k]
+        elif edit == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif edit == "cut":
+            rows[k] = row[:-1]
+        elif edit == "extend":
+            rows[k] = row + ["1"]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=edited_rols_rows())
+def test_rols_column_checks_agree_with_reading_row_by_row(rows):
+    # the column-wise path returns exactly the lists reading row by row
+    # returns, and declines (None) exactly when reading row by row fails
+    try:
+        expected = _rols_by_rows(Path("rols.csv"), rows, [0, 1, 2], 3, 2)
+    except IngestError:
+        expected = None
+    assert _rols_by_columns(rows, [0, 1, 2], 3, 2) == expected
+
+
 # ---------------------------------------------------------------------------
 # outcomes / matching / cutoffs
 
@@ -187,6 +316,40 @@ def test_outcomes_validation(tmp_path):
     p.write_text("id,y_observed\n0,1.0\n")
     with pytest.raises(IngestError, match=r"no outcome.*\[1\]"):
         read_outcomes(p, ids=[0, 1])
+
+
+def test_outcome_not_a_number_names_the_row(tmp_path):
+    p = tmp_path / "outcomes.csv"
+    p.write_text("id,y_observed\n0,1.0\n1,abc\n")
+    with pytest.raises(IngestError,
+                       match=r"^outcomes\.csv row 3: not a number: 'abc'$"):
+        read_outcomes(p, ids=[0, 1])
+
+
+FIELD_COUNT_CASES = {
+    "rols.csv": ("id,rank,school_id", "0,1,1",
+                 lambda p: read_rols(p, ids=[0], n_schools=3, list_cap=2)),
+    "outcomes.csv": ("id,y_observed", "0,1.0",
+                     lambda p: read_outcomes(p, ids=[0])),
+    "truth.csv": ("id,q_1,q_2,y_0,y_1", "0,1,0,0.5,1.0",
+                  lambda p: read_truth(p, ids=[0], n_schools=1)),
+    "matching.csv": ("id,assigned_school", "0,1",
+                     lambda p: read_matching(p, ids=[0])),
+    "cutoffs.csv": ("school_id,cutoff", "1,2.0", read_cutoffs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_COUNT_CASES))
+def test_wrong_field_count_names_the_row(tmp_path, name):
+    head, good, read = FIELD_COUNT_CASES[name]
+    n_fields = head.count(",") + 1
+    fields = good.split(",")
+    p = tmp_path / name
+    for bad in (fields[:-1], fields + ["9"]):         # too few, too many
+        p.write_text(f"{head}\n{good}\n\n{','.join(bad)}\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(name)} row 3:"
+                           f" expected {n_fields} fields$"):
+            read(p)
 
 
 def test_matching_round_trip(tmp_path):

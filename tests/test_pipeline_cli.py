@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from collections import Counter
 
 import pytest
 
-from cutoffbounds import pipeline
+from cutoffbounds import localpref, pipeline, qsets
 from cutoffbounds.cli import main
 from cutoffbounds.identify import (build_polytope, collect_local_obs,
                                    containment_stats, delta_bounds,
@@ -22,7 +23,7 @@ from cutoffbounds.pipeline import (
     run_pipeline,
     write_report,
 )
-from cutoffbounds.qsets import detect_umas, regime_from_label
+from cutoffbounds.qsets import detect_umas, qset_for_student, regime_from_label
 
 ARTIFACTS = ("students.csv", "rols.csv", "outcomes.csv", "truth.csv",
              "matching.csv", "cutoffs.csv", "pairs.csv", "qsets.csv",
@@ -297,7 +298,8 @@ def test_pairs_at_one_school_share_its_window(tmp_path, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, wrapper)
 
-    counted("collect_local_obs")
+    counted("window_qsets")
+    counted("local_obs")
     counted("containment_stats")
     cfg = RunConfig(dgp=SHARED_WINDOW_DGP, seed=1, out_dir=str(tmp_path),
                     falsification_action="warn")
@@ -305,7 +307,8 @@ def test_pairs_at_one_school_share_its_window(tmp_path, monkeypatch):
     schools = Counter(j for j, _ in manifest["pairs"])
     assert max(schools.values()) >= 2
     n_windows = len(schools) * len(cfg.regimes)
-    assert calls == {"collect_local_obs": n_windows,
+    # the qsets stage's candidate sets are the ones the analysis reads
+    assert calls == {"window_qsets": n_windows, "local_obs": n_windows,
                      "containment_stats": 2 * n_windows}
     monkeypatch.undo()
 
@@ -396,6 +399,64 @@ def test_ingest_cutoff_override(tmp_path, golden):
     (src / "cutoffs.csv").write_text("school_id,cutoff\n4,805.0\n")
     with pytest.raises(PipelineError, match="1..J"):
         run_pipeline(cfg, stage="match")
+
+
+def test_ingest_derives_each_window_students_budgets_once(tmp_path,
+                                                          monkeypatch):
+    src = tmp_path / "in"
+    dgp = RunConfig(dgp=SHARED_WINDOW_DGP, seed=1, out_dir=str(src))
+    run_pipeline(dgp, stage="simulate")
+    cfg = RunConfig(input_dir=str(src),
+                    capacities=resolve_source(dgp).economy.capacities,
+                    out_dir=str(tmp_path / "out"), falsification_action="warn")
+    # budget sets come from window_budgets (many students) or
+    # counterfactual_sets (one student); count both, per (school, student)
+    derived = Counter()
+    many, one = localpref.window_budgets, localpref.counterfactual_sets
+
+    def count_many(eco, cutoffs, j, ids):
+        derived.update((j, i) for i in ids)
+        return many(eco, cutoffs, j, ids)
+
+    def count_one(eco, cutoffs, i, j):
+        derived[j, i] += 1
+        return one(eco, cutoffs, i, j)
+
+    monkeypatch.setattr(localpref, "window_budgets", count_many)
+    for module in (localpref, qsets):
+        monkeypatch.setattr(module, "counterfactual_sets", count_one)
+    run_pipeline(cfg)
+    monkeypatch.undo()
+    assert derived and set(derived.values()) == {1}
+
+    with open(tmp_path / "out" / "qsets.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    window = {(int(r["school"]), int(r["student_id"])) for r in rows}
+    assert window <= set(derived)
+    assert len(rows) == len(window) * len(cfg.regimes)
+    data = resolve_source(cfg)
+    umas = detect_umas(data.economy, data.cutoffs)
+    for r in rows:
+        regime = regime_from_label(r["regime"])
+        q = qset_for_student(data.economy, data.cutoffs, int(r["student_id"]),
+                             int(r["school"]), regime,
+                             umas if regime.umas else None)
+        assert r["qset"] == "|".join(f"{a}:{b}" for a, b in sorted(q))
+
+
+@pytest.mark.parametrize("extra", ["0,9", "0,4,2,9"])
+def test_ingest_rejects_a_row_with_the_wrong_field_count(tmp_path, golden,
+                                                         capsys, extra):
+    src = tmp_path / "in"
+    write_economy(src, golden.economy)
+    rols = src / "rols.csv"
+    n_lines = len(rols.read_text().splitlines())
+    rols.write_text(rols.read_text() + extra + "\n")
+    cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
+                    capacities=list(golden.economy.capacities))
+    assert main(["bounds", "--config", str(cfg)]) == 2
+    assert f"rols.csv row {n_lines + 1}: expected 3 fields" in \
+        capsys.readouterr().err
 
 
 def test_ingest_without_outcomes_is_a_config_error(tmp_path, golden, capsys):
