@@ -18,9 +18,9 @@ from .economy import (DGPConfig, Economy, EconomyError, EconomyTruth, OUTSIDE,
                       generate_reports, observe_outcomes)
 from .identify import (ClosureCapError, DeltaBounds, FalsificationSignal,
                        InfeasiblePolytopeError, LocalObs, build_polytope,
-                       collect_local_obs, containment_stats, delta_bounds,
-                       falsification_test, local_obs, solve_bounds_on_event,
-                       support_family, union_closure)
+                       collect_local_obs, connected_unions, containment_stats,
+                       delta_bounds, falsification_test, local_obs,
+                       solve_bounds_on_event, support_family)
 from .localpref import (ComparablePair, LocalSample, budget_set,
                         comparable_pairs, counterfactual_sets,
                         find_comparable_pairs, local_pair, local_samples,
@@ -43,12 +43,13 @@ __all__ = [
     "UmasRelation", "__version__", "audit_cutoff_characterization",
     "audit_stability_wrt_reports", "binary_bounds", "budget_set",
     "build_polytope", "build_qset", "collect_local_obs", "comparable_pairs",
-    "containment_stats", "counterfactual_sets", "delta_bounds", "detect_umas",
-    "effect_bounds", "extract_cutoffs", "falsification_test",
+    "connected_unions", "containment_stats", "counterfactual_sets",
+    "delta_bounds", "detect_umas", "effect_bounds", "extract_cutoffs",
+    "falsification_test",
     "find_comparable_pairs", "generate_economy", "generate_reports",
     "hm_side_bounds", "local_obs", "local_pair", "local_samples", "naive_rd",
     "observe_outcomes", "qset_for_student", "regime_from_label", "run_da",
     "run_pipeline", "run_sd", "select_local_sample", "sharp_bounds_finite",
     "solve_bounds_on_event", "support_family", "trimming_bounds_continuous",
-    "union_closure", "window_budgets", "window_qsets", "write_report",
+    "window_budgets", "window_qsets", "write_report",
 ]

@@ -13,13 +13,14 @@ masses (finite outcome support).  The naive contrast conditions on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .identify import ContainmentStats, LocalObs, _lp_interval, total_weight
-from .qsets import Pair, PairSet
+from .identify import (ContainmentStats, LocalObs, _lp_interval,
+                       containment_rows, cover_matrix, set_weights,
+                       total_weight)
+from .qsets import Pair
 
 
 class BoundsError(ValueError):
@@ -222,29 +223,22 @@ def finite_support(obs_plus: Sequence[LocalObs], obs_minus: Sequence[LocalObs],
     return tuple(vals)
 
 
-def _joint_prob(obs: Sequence[LocalObs], g: OutcomeTransform,
-                y_set: frozenset[float], b: PairSet) -> float:
-    tot = total_weight(obs)
-    hit = sum(o.weight for o in obs if g(o.y) in y_set and o.qset <= b)
-    return float(hit / tot)
-
-
 def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
                         obs_minus: Sequence[LocalObs] | None,
                         stats_plus: ContainmentStats | None,
                         stats_minus: ContainmentStats | None,
                         pair: Pair,
                         g: OutcomeTransform = IDENTITY,
-                        support_cap: int = 8,
-                        row_cap: int = 20000) -> EffectBounds:
+                        support_cap: int = 8) -> EffectBounds:
     """Sharp bounds on the (j, k) outcome jump via a joint mass program.
 
     Variables are masses of (outcome value, true pair) at the cutoff, one
     block for the outcome if admitted and one for the outcome if rejected.
-    Every outcome event crossed with every union of candidate sets yields a
-    containment row on the corresponding block.  The jump objective is a
-    ratio of linear forms in these masses; scaling all variables by the
-    reciprocal of the pair mass makes it linear.
+    Each side's containment rows, taken once per outcome value, bound the
+    corresponding block: a row over several outcome values would be the sum
+    of single-value rows, since each observation has one value.  The jump
+    objective is a ratio of linear forms in these masses; scaling all
+    variables by the reciprocal of the pair mass makes it linear.
     """
     if stats_plus is None and stats_minus is None:
         raise BoundsError("no side data at all")
@@ -272,35 +266,25 @@ def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
     ti = ri + 1
     n_vars = ti + 1
 
-    y_subsets = []
-    for r in range(1, n_y + 1):
-        for combo in combinations(range(n_y), r):
-            y_subsets.append(frozenset(support[k] for k in combo))
-
-    A_ub, b_ub = [], []
-    n_rows_est = sum(
-        len(stats.family.closure) for stats in (stats_plus, stats_minus)
-        if stats is not None) * len(y_subsets)
-    if n_rows_est > row_cap:
-        raise BoundsError(
-            f"joint program needs roughly {n_rows_est} rows, above cap {row_cap}")
+    blocks = []
     for stats, obs, block in ((stats_plus, obs_plus, ui),
                               (stats_minus, obs_minus, vi)):
         if stats is None:
             continue
-        for b_set in stats.family.closure:
-            for y_set in y_subsets:
-                prob = _joint_prob(obs, g, y_set, b_set)
-                if prob <= 0.0:
-                    continue        # trivially satisfied
-                row = np.zeros(n_vars)
-                row[ti] = prob
-                for p in b_set:
-                    if p in a_idx:
-                        for y in y_set:
-                            row[block(a_idx[p], y_idx[y])] = -1.0
-                A_ub.append(row)
-                b_ub.append(0.0)
+        tot = total_weight(obs)
+        by_value: dict[float, list[LocalObs]] = {}
+        for o in obs:
+            by_value.setdefault(g(o.y), []).append(o)
+        for y, sel in by_value.items():
+            shares = containment_rows(set_weights(sel), tot,
+                                      stats.family.closure)
+            sets = [b for b, s in shares.items() if s > 0.0]
+            column = {p: block(k, y_idx[y]) for p, k in a_idx.items()}
+            rows = cover_matrix(sets, column, n_vars)
+            rows[:, ti] = [shares[b] for b in sets]     # share * t <= mass
+            blocks.append(rows)
+    A_ub = np.vstack(blocks)
+    b_ub = np.zeros(len(A_ub))
 
     A_eq, b_eq = [], []
     for a in range(n_a):            # same pair mass in both blocks

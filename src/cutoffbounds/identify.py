@@ -8,6 +8,14 @@ inequalities plus the simplex constraint carve out a polytope; linear
 programs over it give sharp bounds on the probability of any pair event,
 and an infeasible polytope or a partition whose lower bounds sum above one
 falsifies the assumed reporting discipline.
+
+Only unions of connected families of candidate sets need a row, a family
+being connected when it cannot be split into two groups that share no
+pair: any other union splits into disjoint connected parts whose rows sum
+to its row.  ``containment_rows`` states the rows of both programs, the
+event LP here over pair masses and the joint LP in ``bounds`` over
+(outcome value, pair) masses, which takes the same rows once per outcome
+value.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ class IdentifyError(ValueError):
 
 
 class ClosureCapError(IdentifyError):
-    """The union closure outgrew the configured cap."""
+    """A side's connected unions outgrew the configured cap."""
 
 
 class FalsificationSignal(RuntimeError):
@@ -100,26 +108,43 @@ def _canon(sets: Iterable[PairSet]) -> tuple[PairSet, ...]:
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
-def union_closure(members: Iterable[PairSet], cap: int = 4096) -> tuple[PairSet, ...]:
-    """Close a family of sets under union: every nonempty union of members.
+def connected_unions(members: Iterable[PairSet],
+                     cap: int = 4096) -> tuple[PairSet, ...]:
+    """The unions of connected subfamilies of ``members``.
 
-    The closure grows member by member: once the first k members are
-    closed, adding member m adds m and its union with every set so far.
-    Growth past ``cap`` raises rather than silently truncating, since a
-    truncated closure would drop binding inequalities.
+    Starting from the distinct members, a kept union grows by a member that
+    meets it but does not lie inside it, until nothing new appears.  These
+    are the containment rows a side needs: when the members inside a union
+    split into groups that share no pair, the group unions are disjoint and
+    the union's row is the sum of the group rows, so dropping it leaves the
+    polytope of the full union closure unchanged (the core-determining
+    classes of Galichon & Henry 2011, reduced by connectivity as in Luo &
+    Wang 2017).  A star of sets sharing one pair still has 2^n connected
+    unions, so growth past ``cap`` raises rather than silently truncating,
+    since a truncated family would drop binding inequalities.
     """
-    closed: set[PairSet] = set()
-    for m in set(members):
-        closed |= {m | c for c in closed}
-        closed.add(m)
-        if len(closed) > cap:
-            raise ClosureCapError(f"union closure exceeds cap {cap}")
-    return _canon(closed)
+    distinct = set(members)
+    atoms = sorted(set().union(*distinct))
+    bit = {p: 1 << k for k, p in enumerate(atoms)}
+    masks = [sum(bit[p] for p in m) for m in distinct]
+    kept = set(masks)
+    queue = list(kept)
+    while queue and len(kept) <= cap:
+        u = queue.pop()
+        for m in masks:
+            v = u | m
+            if m & u and v != u and v not in kept:
+                kept.add(v)
+                queue.append(v)
+    if len(kept) > cap:
+        raise ClosureCapError(f"connected unions exceed cap {cap}")
+    return _canon(frozenset(p for p in atoms if bit[p] & u) for u in kept)
 
 
 @dataclass(frozen=True)
 class SupportFamily:
-    """Distinct candidate sets seen on one side, with their union closure."""
+    """Distinct candidate sets seen on one side, and in ``closure`` their
+    connected unions: the sets that carry the side's containment rows."""
 
     side: str
     members: tuple[PairSet, ...]
@@ -135,24 +160,57 @@ def support_family(obs: Sequence[LocalObs], side: str,
         if not s:
             raise IdentifyError("empty candidate set in support")
     try:
-        closure = union_closure(members, cap=cap)
+        closure = connected_unions(members, cap=cap)
     except ClosureCapError as exc:
         raise ClosureCapError(f"{side} side: {exc}") from None
     return SupportFamily(side=side, members=members, closure=closure)
 
 
+def set_weights(obs: Iterable[LocalObs]) -> dict[PairSet, float]:
+    """Summed weight per distinct candidate set, in first-seen order."""
+    weights: dict[PairSet, float] = {}
+    for o in obs:
+        weights[o.qset] = weights.get(o.qset, 0.0) + o.weight
+    return weights
+
+
+def containment_rows(weights: Mapping[PairSet, float], total: float,
+                     sets: Iterable[PairSet]) -> dict[PairSet, float]:
+    """Right-hand sides of containment rows: for each set, the weight of
+    candidate sets lying inside it, as a share of ``total``.
+
+    The one row builder of both programs.  The event LP passes a side's
+    whole weight; the joint outcome-and-pair LP passes, per outcome value,
+    the weight of the observations with that value, since each observation
+    has one value and a row over several values is the sum of single-value
+    rows.
+    """
+    return {a: float(sum(w for q, w in weights.items() if q <= a) / total)
+            for a in sets}
+
+
 @dataclass(frozen=True)
 class ContainmentStats:
-    """Containment frequencies of candidate sets within closure members."""
+    """Containment frequencies of candidate sets within the connected
+    unions, and the weights they come from."""
 
     side: str
     n_obs: int
     total: float
     family: SupportFamily
     containment: Mapping[PairSet, float]
+    weights: Mapping[PairSet, float]
 
     def prob(self, a: PairSet) -> float:
         return self.containment[a]
+
+    def union_share(self, cell: PairSet) -> float | None:
+        """Share of candidate sets inside ``cell`` when ``cell`` is a union
+        of candidate sets, else None."""
+        inside = [q for q in self.weights if q <= cell]
+        if frozenset().union(*inside) != cell:
+            return None
+        return containment_rows(self.weights, self.total, [cell])[cell]
 
 
 def containment_stats(obs: Sequence[LocalObs], side: str,
@@ -162,15 +220,11 @@ def containment_stats(obs: Sequence[LocalObs], side: str,
     tot = total_weight(obs)
     if tot <= 0:
         raise IdentifyError("empty side")
-    weights: dict[PairSet, float] = {}
-    for o in obs:
-        weights[o.qset] = weights.get(o.qset, 0.0) + o.weight
-    probs: dict[PairSet, float] = {}
-    for a in fam.closure:
-        hit = sum(w for q, w in weights.items() if q <= a)
-        probs[a] = float(hit / tot)
-    return ContainmentStats(side=side, n_obs=len(obs), total=tot,
-                            family=fam, containment=probs)
+    weights = set_weights(obs)
+    return ContainmentStats(side=side, n_obs=len(obs), total=tot, family=fam,
+                            containment=containment_rows(weights, tot,
+                                                         fam.closure),
+                            weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +248,38 @@ def build_polytope(stats_plus: ContainmentStats | None,
                    stats_minus: ContainmentStats | None) -> DistPolytope:
     """Combine both sides' containment rows over a shared atom list.
 
-    A set lying in both closures gets the larger of the two frequencies as
-    its lower bound; a one-sided set gets that side's frequency.  Either
-    side may be absent (one-sided designs), not both.
+    A set that is a row on both sides gets the larger of the two
+    frequencies as its lower bound; a one-sided row gets that side's
+    frequency.  Either side may be absent (one-sided designs), not both.
     """
     if stats_plus is None and stats_minus is None:
         raise IdentifyError("no side data at all")
-    closures: dict[PairSet, float] = {}
+    bounds: dict[PairSet, float] = {}
     for stats in (stats_plus, stats_minus):
-        if stats is None:
-            continue
-        for a in stats.family.closure:
-            p = stats.prob(a)
-            if a in closures:
-                closures[a] = max(closures[a], p)
-            else:
-                closures[a] = p
-    atoms: set[Pair] = set()
-    for a in closures:
-        atoms |= a
-    rows = tuple((a, closures[a]) for a in _canon(closures))
+        if stats is not None:
+            for a, p in stats.containment.items():
+                bounds[a] = max(bounds.get(a, p), p)
+    atoms = set().union(*bounds)
+    rows = tuple((a, bounds[a]) for a in _canon(bounds))
     return DistPolytope(atoms=tuple(sorted(atoms)), rows=rows)
+
+
+def cover_matrix(sets: Sequence[PairSet], column: Mapping[Pair, int],
+                 n_vars: int) -> np.ndarray:
+    """Containment rows as ``A_ub`` rows: -1 at the column of every pair of
+    the set that has one, so ``A_ub x <= -share`` reads mass >= share."""
+    A = np.zeros((len(sets), n_vars))
+    for r, a in enumerate(sets):
+        A[r, [column[p] for p in a if p in column]] = -1.0
+    return A
 
 
 def _polytope_constraints(poly: DistPolytope):
     n = poly.n_vars
     idx = {p: k for k, p in enumerate(poly.atoms)}
-    A_ub, b_ub = [], []
-    for a, bound in poly.rows:
-        row = np.zeros(n)
-        for p in a:
-            if p in idx:
-                row[idx[p]] = -1.0
-        A_ub.append(row)
-        b_ub.append(-bound)
-    A_eq = [np.ones(n)]
-    b_eq = [1.0]
-    return np.array(A_ub), np.array(b_ub), np.array(A_eq), np.array(b_eq)
+    A_ub = cover_matrix([a for a, _ in poly.rows], idx, n)
+    b_ub = np.array([-bound for _, bound in poly.rows])
+    return A_ub, b_ub, np.ones((1, n)), np.array([1.0])
 
 
 def solve_bounds_on_event(poly: DistPolytope,
@@ -363,10 +412,11 @@ def default_partitions(stats_plus: ContainmentStats | None,
 
 def _cell_lower_bound(cell: PairSet, stats_plus: ContainmentStats | None,
                       stats_minus: ContainmentStats | None) -> float:
-    vals = []
-    for stats in (stats_plus, stats_minus):
-        if stats is not None and cell in stats.containment:
-            vals.append(stats.containment[cell])
+    """The largest side's share of candidate sets inside ``cell``, counting
+    a side only when the cell is a union of its candidate sets."""
+    vals = [stats.union_share(cell) for stats in (stats_plus, stats_minus)
+            if stats is not None]
+    vals = [v for v in vals if v is not None]
     return max(vals) if vals else 0.0
 
 

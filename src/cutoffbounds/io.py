@@ -112,6 +112,22 @@ def _read_keyed(path: Path, header: Sequence[str], kind: type,
     return out
 
 
+def _check_students(path: Path, found: Mapping[int, Any],
+                    ids: Sequence[int], missing: str) -> None:
+    """Every student of ``ids`` is a key of ``found`` and every key is a
+    student.  ``found`` holds one key per data row, in file order, so an
+    unknown key is named with its row; ``missing`` starts the message for
+    absent students."""
+    known = set(ids)
+    if len(found) != len(known) or not known.issuperset(found):
+        for ln, sid in enumerate(found, start=2):
+            if sid not in known:
+                raise IngestError(
+                    f"{path.name} row {ln}: unknown student id {sid}")
+        absent = [sid for sid in ids if sid not in found]
+        raise IngestError(f"{path.name}: {missing} {absent[:5]}")
+
+
 # ---------------------------------------------------------------------------
 # students / scores
 
@@ -290,9 +306,7 @@ def write_outcomes(path: Path, eco: Economy) -> None:
 def read_outcomes(path: Path, ids: Sequence[int]) -> np.ndarray:
     seen = _read_keyed(path, ["id", "y_observed"], float,
                        "duplicate outcome for student {}")
-    missing = [sid for sid in ids if sid not in seen]
-    if missing:
-        raise IngestError(f"{path.name}: no outcome for students {missing[:5]}")
+    _check_students(path, seen, ids, "no outcome for students")
     return np.array([seen[sid] for sid in ids])
 
 
@@ -320,14 +334,15 @@ def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
     pots: dict[int, list[float]] = {}
     for where, row in _numbered(path, rows, len(head)):
         sid = _parse_int(row[0], where)
+        if sid in orders:
+            raise IngestError(
+                f"{where}: duplicate truth row for student {sid}")
         order = [_parse_int(v, where) for v in row[1:J + 2]]
         if sorted(order) != list(range(J + 1)):
             raise IngestError(f"{where}: order must permute 0..{J}")
         orders[sid] = order
         pots[sid] = [_parse_float(v, where) for v in row[J + 2:]]
-    missing = [sid for sid in ids if sid not in orders]
-    if missing:
-        raise IngestError(f"{path.name}: no truth row for students {missing[:5]}")
+    _check_students(path, orders, ids, "no truth row for students")
     return EconomyTruth(pref_orders=np.array([orders[s] for s in ids]),
                         potential=np.array([pots[s] for s in ids]))
 
@@ -343,9 +358,7 @@ def write_matching(path: Path, assignment: Sequence[int]) -> None:
 def read_matching(path: Path, ids: Sequence[int]) -> np.ndarray:
     seen = _read_keyed(path, ["id", "assigned_school"], int,
                        "duplicate assignment for {}")
-    missing = [sid for sid in ids if sid not in seen]
-    if missing:
-        raise IngestError(f"{path.name}: no assignment for students {missing[:5]}")
+    _check_students(path, seen, ids, "no assignment for students")
     return np.array([seen[sid] for sid in ids])
 
 

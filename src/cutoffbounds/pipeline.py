@@ -6,9 +6,9 @@ bounds, writing each stage's artifact into the output directory.  Every
 ``falsified`` when the containment inequalities reject the assumed
 reporting discipline, ``skipped-empty-side`` when a window side has
 nobody in it, or ``skipped-closure-cap`` (with a ``reason``) when a side's
-union closure outgrows ``closure_cap``.  Neither falsification nor a
-skipped combination aborts the run; wall-clock numbers go
-to a separate timing file so the analytical artifacts are byte-stable
+connected unions of candidate sets outgrow ``closure_cap``.  Neither
+falsification nor a skipped combination aborts the run; wall-clock numbers
+go to a separate timing file so the analytical artifacts are byte-stable
 across reruns.
 """
 
@@ -94,7 +94,6 @@ class RunConfig:
     min_witnesses: int = 1
     closure_cap: int = 4096
     support_cap: int = 8
-    row_cap: int = 20000
     falsification_action: str = "error"
     falsification_tol: float = 1e-9
     falsification_allowance: float = 0.0
@@ -140,7 +139,7 @@ class RunConfig:
             if key in data:
                 kw[key] = data.pop(key)
         for key in ("list_cap", "sample_n", "seed", "min_local_n",
-                    "min_witnesses", "closure_cap", "support_cap", "row_cap"):
+                    "min_witnesses", "closure_cap", "support_cap"):
             if key in data:
                 kw[key] = int(data.pop(key))
         for key in ("bandwidth", "falsification_tol", "falsification_allowance"):
@@ -178,7 +177,6 @@ class RunConfig:
             "min_witnesses": self.min_witnesses,
             "closure_cap": self.closure_cap,
             "support_cap": self.support_cap,
-            "row_cap": self.row_cap,
             "falsification": {
                 "action": self.falsification_action,
                 "tol": self.falsification_tol,
@@ -490,8 +488,7 @@ def _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
     try:
         sharp = sharp_bounds_finite(obs_plus, obs_minus, stats_plus,
                                     stats_minus, jk, g,
-                                    support_cap=cfg.support_cap,
-                                    row_cap=cfg.row_cap)
+                                    support_cap=cfg.support_cap)
         _fill(sharp_entry, sharp, naive, cfg)
     except BoundsError:
         pass          # unbounded support; the hm entry still stands

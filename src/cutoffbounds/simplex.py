@@ -3,8 +3,9 @@
 Problems are stated as  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,
 x >= 0.  Status is one of "optimal", "infeasible", "unbounded".
 
-The programs this package builds are tall and narrow: one row per set in a
-union closure (up to a few thousand) over at most a few dozen variables.
+The programs this package builds are tall and narrow: one row per connected
+union of candidate sets (up to several hundred) over at most a few dozen
+variables.
 ``solve_lp`` therefore runs the simplex method on the dual, whose tableau
 has one row per primal variable, and reads the primal solution back from
 the dual's reduced costs.  The tableau method is two-phase on a dense numpy

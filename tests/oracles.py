@@ -318,6 +318,146 @@ def sequential_da(eco: Economy) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# containment-row oracles: the full union closure and connected subfamilies
+
+
+def union_closure(members) -> set[frozenset]:
+    """Every nonempty union of members: the rows the package kept before
+    reducing them to connected unions, and the reference for that
+    reduction."""
+    closed: set[frozenset] = set()
+    for m in set(members):
+        closed |= {m | c for c in closed}
+        closed.add(m)
+    return closed
+
+
+def _connected(family) -> bool:
+    reached, todo = {0}, [0]
+    while todo:
+        a = family[todo.pop()]
+        for k, b in enumerate(family):
+            if k not in reached and a & b:
+                reached.add(k)
+                todo.append(k)
+    return len(reached) == len(family)
+
+
+def connected_subfamily_unions(members) -> set[frozenset]:
+    """The union of every nonempty subfamily of distinct members whose
+    overlap graph is connected, by enumerating all subfamilies."""
+    distinct = list(set(members))
+    return {frozenset().union(*chosen)
+            for k in range(1, len(distinct) + 1)
+            for chosen in combinations(distinct, k) if _connected(chosen)}
+
+
+def closure_event_rows(sides) -> dict[frozenset, float]:
+    """Event-LP rows over the full union closure: per set, the largest
+    side's weight share of candidate sets inside it."""
+    rows: dict[frozenset, float] = {}
+    for obs in sides:
+        if not obs:
+            continue
+        tot = sum(o.weight for o in obs)
+        for a in union_closure(o.qset for o in obs):
+            share = sum(o.weight for o in obs if o.qset <= a) / tot
+            rows[a] = max(rows.get(a, 0.0), share)
+    return rows
+
+
+def highs_event_bounds(rows, event) -> tuple[float, float] | None:
+    """[min, max] mass on ``event`` over the polytope of ``rows`` (set ->
+    lower bound) plus an off-support residual, solved with scipy's HiGHS;
+    None when the polytope is empty."""
+    atoms = sorted(set().union(*rows))
+    n = len(atoms) + 1
+    A_ub = np.array([[-1.0 if p in a else 0.0 for p in atoms] + [0.0]
+                     for a in rows])
+    b_ub = -np.array(list(rows.values()))
+    c = np.array([1.0 if p in event else 0.0 for p in atoms] + [0.0])
+    return _highs_interval(c, A_ub, b_ub, np.ones((1, n)), np.ones(1))
+
+
+def _highs_interval(c, A_ub, b_ub, A_eq, b_eq) -> tuple[float, float] | None:
+    from scipy.optimize import linprog
+
+    out = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=(0, None), method="highs")
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS ended with status {res.status}: "
+                               f"{res.message}")
+        out.append(sign * res.fun)
+    return out[0], out[1]
+
+
+def highs_sharp_bounds(obs_plus, obs_minus, pair,
+                       g) -> tuple[float, float] | None:
+    """Sharp bounds on the outcome jump from the joint program with every
+    outcome subset crossed with every set of the full union closure, solved
+    with scipy's HiGHS; None when the program is infeasible.
+
+    Variables are u[atom, y] (admitted), v[atom, y] (rejected), an
+    off-support residual and the Charnes-Cooper scale t; the pair's mass in
+    the admitted block is normalised to one.
+    """
+    atoms = sorted(set().union(*(o.qset for o in list(obs_plus)
+                                 + list(obs_minus))))
+    support = sorted({g(o.y) for o in list(obs_plus) + list(obs_minus)})
+    n_a, n_y = len(atoms), len(support)
+    n = 2 * n_a * n_y + 2
+    t = n - 1
+
+    def var(block, atom, y):
+        return block * n_a * n_y + atoms.index(atom) * n_y + support.index(y)
+
+    A_ub = []
+    for block, obs in ((0, obs_plus), (1, obs_minus)):
+        tot = sum(o.weight for o in obs)
+        for b_set in union_closure(o.qset for o in obs):
+            for k in range(1, n_y + 1):
+                for y_set in combinations(support, k):
+                    share = sum(o.weight for o in obs
+                                if g(o.y) in y_set and o.qset <= b_set) / tot
+                    row = np.zeros(n)
+                    row[t] = share
+                    for atom in b_set:
+                        for y in y_set:
+                            row[var(block, atom, y)] = -1.0
+                    A_ub.append(row)
+    A_eq, b_eq = [], []
+    for atom in atoms:
+        row = np.zeros(n)
+        for y in support:
+            row[var(0, atom, y)] = 1.0
+            row[var(1, atom, y)] = -1.0
+        A_eq.append(row)
+        b_eq.append(0.0)
+    row = np.zeros(n)
+    for atom in atoms:
+        for y in support:
+            row[var(0, atom, y)] = 1.0
+    row[n - 2], row[t] = 1.0, -1.0
+    A_eq.append(row)
+    b_eq.append(0.0)
+    row = np.zeros(n)
+    for y in support:
+        row[var(0, pair, y)] = 1.0
+    A_eq.append(row)
+    b_eq.append(1.0)
+    c = np.zeros(n)
+    for y in support:
+        c[var(0, pair, y)] = y
+        c[var(1, pair, y)] = -y
+    return _highs_interval(c, np.array(A_ub), np.zeros(len(A_ub)),
+                           np.array(A_eq), np.array(b_eq))
+
+
+# ---------------------------------------------------------------------------
 # probability-grid oracles
 
 

@@ -65,6 +65,7 @@ from oracles import (
     grid_event_bounds,
     grid_sharp_ate_binary,
     joint_rows,
+    union_closure,
 )
 
 WPO, WPO_U, SPO, SPO_U = REGIMES
@@ -300,10 +301,10 @@ def test_c4_lp_bounds_match_grid_enumeration(acceptance_log):
             continue
         got = sharp_bounds_finite(op, om, sp, sm, pair)
         lo, hi = grid_sharp_ate_binary(atoms, pair,
-                                       joint_rows(op, sp.family.closure,
-                                                  IDENTITY),
-                                       joint_rows(om, sm.family.closure,
-                                                  IDENTITY))
+                                       joint_rows(op, union_closure(
+                                           sp.family.members), IDENTITY),
+                                       joint_rows(om, union_closure(
+                                           sm.family.members), IDENTITY))
         n_jumps += 1
         if max(abs(got.lower - lo), abs(got.upper - hi)) > 0.01:
             problems.append(f"{name}: lp [{got.lower}, {got.upper}] "

@@ -22,7 +22,8 @@ from cutoffbounds.bounds import (
 )
 from cutoffbounds.identify import InfeasiblePolytopeError, build_polytope
 
-from oracles import grid_sharp_ate_binary, joint_rows
+from oracles import (grid_sharp_ate_binary, highs_sharp_bounds, joint_rows,
+                     union_closure)
 
 A, B = (4, 2), (4, 3)
 
@@ -166,11 +167,36 @@ def test_sharp_requires_pair_support():
                             None, B)
 
 
-def test_sharp_row_cap():
-    plus = [_obs({A}, float(v)) for v in range(8)]
-    with pytest.raises(BoundsError):
-        sharp_bounds_finite(plus, None, containment_stats(plus, "plus"),
-                            None, A, row_cap=10)
+def test_sharp_three_valued_support_matches_the_full_program():
+    """Single-value rows over connected unions against every outcome subset
+    crossed with the full union closure, over three outcome values."""
+    rng = np.random.default_rng(303)
+    atoms = [(4, 2), (4, 3), (4, 0), (3, 0)]
+    menu = [frozenset(s) for s in ({0}, {1}, {0, 1}, {1, 2}, {2, 3},
+                                   {0, 3}, {0, 1, 2})]
+    menu = [frozenset(atoms[k] for k in s) for s in menu]
+    compared = infeasible = 0
+    for _ in range(40):
+        def draw_side():
+            return [_obs(menu[int(rng.integers(len(menu)))],
+                         float(rng.integers(0, 3)),
+                         w=float(rng.integers(1, 5)))
+                    for _ in range(int(rng.integers(3, 9)))]
+
+        plus, minus = draw_side(), draw_side()
+        pair = sorted(set().union(*(o.qset for o in plus + minus)))[0]
+        want = highs_sharp_bounds(plus, minus, pair, IDENTITY)
+        sp = containment_stats(plus, "plus")
+        sm = containment_stats(minus, "minus")
+        if want is None:
+            with pytest.raises(InfeasiblePolytopeError):
+                sharp_bounds_finite(plus, minus, sp, sm, pair)
+            infeasible += 1
+            continue
+        got = sharp_bounds_finite(plus, minus, sp, sm, pair)
+        assert (got.lower, got.upper) == pytest.approx(want, abs=1e-9)
+        compared += 1
+    assert compared >= 10 and infeasible >= 5
 
 
 def test_sharp_flags_contradictory_sides():
@@ -189,8 +215,9 @@ def test_sharp_matches_the_joint_grid():
     sm = containment_stats(minus, "minus")
     got = sharp_bounds_finite(plus, minus, sp, sm, A)
     grid_lo, grid_hi = grid_sharp_ate_binary(
-        (A, B), A, joint_rows(plus, sp.family.closure, IDENTITY),
-        joint_rows(minus, sm.family.closure, IDENTITY))
+        (A, B), A,
+        joint_rows(plus, union_closure(sp.family.members), IDENTITY),
+        joint_rows(minus, union_closure(sm.family.members), IDENTITY))
     assert got.lower == pytest.approx(grid_lo, abs=0.01)
     assert got.upper == pytest.approx(grid_hi, abs=0.01)
 

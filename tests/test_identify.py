@@ -1,8 +1,7 @@
-"""Support closures, the distribution polytope, and falsification checks."""
+"""Connected-union rows, the distribution polytope, and falsification
+checks."""
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from cutoffbounds import (
     LocalObs,
     build_polytope,
     collect_local_obs,
+    connected_unions,
     containment_stats,
     delta_bounds,
     detect_umas,
@@ -22,7 +22,6 @@ from cutoffbounds import (
     regime_from_label,
     select_local_sample,
     solve_bounds_on_event,
-    union_closure,
 )
 from cutoffbounds import identify
 from cutoffbounds.bounds import sharp_bounds_finite
@@ -36,6 +35,9 @@ from cutoffbounds.identify import (
 from cutoffbounds.localpref import local_pair
 from cutoffbounds.qsets import qset_for_student
 from cutoffbounds.simplex import FEAS_TOL, LPResult, SimplexError
+
+from oracles import (closure_event_rows, connected_subfamily_unions,
+                     highs_event_bounds, union_closure)
 
 SPO_U = regime_from_label("spo+umas")
 WPO = regime_from_label("wpo")
@@ -54,20 +56,14 @@ def golden_stats(golden, regime=SPO_U):
     return plus, minus
 
 
-def test_union_closure_counts():
-    a, b = frozenset({(1, 0)}), frozenset({(2, 0)})
-    closed = union_closure([a, b])
-    assert len(closed) == 3
-    assert a | b in closed
-    nested = union_closure([a, a | b])
-    assert len(nested) == 2
-
-
-def test_union_closure_cap():
+def test_connected_unions_skip_disjoint_unions_and_cap_a_star():
     singletons = [frozenset({(j, 0)}) for j in range(13)]
-    with pytest.raises(ClosureCapError):
-        union_closure(singletons, cap=4096)       # full lattice would be 8191
-    assert len(union_closure(singletons[:4])) == 15
+    assert set(connected_unions(singletons)) == set(singletons)
+    # every set shares (0, 0): each of the 2^13 - 1 subfamilies is connected
+    star = [frozenset({(0, 0), (j, 1)}) for j in range(13)]
+    with pytest.raises(ClosureCapError, match="connected unions exceed cap"):
+        connected_unions(star, cap=4096)
+    assert len(connected_unions(star[:12], cap=4096)) == 4095
 
 
 _PAIRS = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -77,17 +73,61 @@ _MEMBERS = st.lists(st.frozensets(_PAIRS, min_size=1, max_size=5),
 
 @settings(max_examples=200, deadline=None)
 @given(members=_MEMBERS, cap=st.integers(0, 80))
-def test_union_closure_is_every_nonempty_union(members, cap):
-    unions = {frozenset().union(*chosen)
-              for k in range(1, len(members) + 1)
-              for chosen in combinations(members, k)}
+def test_connected_unions_are_the_connected_subfamily_unions(members, cap):
+    unions = connected_subfamily_unions(members)
     if len(unions) > cap:
         with pytest.raises(ClosureCapError):
-            union_closure(members, cap=cap)
+            connected_unions(members, cap=cap)
     else:
-        closed = union_closure(members, cap=cap)
-        assert len(closed) == len(unions)
-        assert set(closed) == unions
+        rows = connected_unions(members, cap=cap)
+        assert len(rows) == len(unions)
+        assert set(rows) == unions
+
+
+_SIDE = st.lists(st.tuples(st.frozensets(_PAIRS, min_size=1, max_size=4),
+                           st.integers(1, 4)), max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plus=_SIDE, minus=_SIDE, event=st.frozensets(_PAIRS, min_size=1))
+def test_connected_rows_keep_the_closure_polytope(plus, minus, event):
+    plus = [_obs(q, w=float(w)) for q, w in plus]
+    minus = [_obs(q, w=float(w)) for q, w in minus]
+    if not (plus or minus):
+        return
+    sp = containment_stats(plus, "plus") if plus else None
+    sm = containment_stats(minus, "minus") if minus else None
+    poly = build_polytope(sp, sm)
+    closure_rows = closure_event_rows([plus, minus])
+    assert {a for a, _ in poly.rows} <= set(closure_rows)
+    for a, bound in poly.rows:
+        assert bound == pytest.approx(closure_rows[a], abs=1e-12)
+    want = highs_event_bounds(closure_rows, event)
+    got = highs_event_bounds(dict(poly.rows), event)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == pytest.approx(want, abs=1e-9)
+        assert solve_bounds_on_event(poly, event) == \
+            pytest.approx(want, abs=1e-9)
+    # the falsification statistics read the same cells off the closure
+    rep = falsification_test(sp, sm, 3, pair=min(event))
+    for (name, cells), check in zip(default_partitions(sp, sm, 3, min(event)),
+                                    rep.checks):
+        assert check.statistic == pytest.approx(
+            sum(closure_rows.get(c, 0.0) for c in cells), abs=1e-12), name
+
+
+def test_falsification_counts_a_disconnected_union_cell():
+    # the cell {(0,0), (0,1), (1,1)} is the union of two disjoint candidate
+    # sets: it carries no connected row, yet holds every student
+    plus = [_obs({(0, 0)}), _obs({(0, 1), (1, 1)}, w=3.0)]
+    stats = containment_stats(plus, "plus")
+    cell = frozenset({(0, 0), (0, 1), (1, 1)})
+    assert cell not in stats.family.closure
+    assert cell in union_closure(stats.family.members)
+    rep = falsification_test(stats, None, 1, pair=(1, 0))
+    by_name = {c.name: c.statistic for c in rep.checks}
+    assert by_name == {"support-atoms": 0.25, "pair-1-0": 1.0}
 
 
 def test_support_family_rejects_degenerate_input():

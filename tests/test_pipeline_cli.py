@@ -459,6 +459,37 @@ def test_ingest_rejects_a_row_with_the_wrong_field_count(tmp_path, golden,
         capsys.readouterr().err
 
 
+def _append_row(path, row_of):
+    """Append a copy of the file's first data row, changed by ``row_of``;
+    returns the new row's number, counting the header as row 1."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [row_of(lines[1].split(","))]) + "\n")
+    return len(lines) + 1
+
+
+def _with_id(fields, sid):
+    return ",".join([str(sid)] + fields[1:])
+
+
+@pytest.mark.parametrize("name, row_of, message", [
+    ("outcomes.csv", lambda f: _with_id(f, 99), "unknown student id 99"),
+    ("truth.csv", lambda f: _with_id(f, 99), "unknown student id 99"),
+    ("matching.csv", lambda f: _with_id(f, 99), "unknown student id 99"),
+    ("truth.csv", lambda f: _with_id(f, 0),
+     "duplicate truth row for student 0"),
+])
+def test_ingest_rejects_unknown_and_repeated_students(tmp_path, golden, capsys,
+                                                      name, row_of, message):
+    src = tmp_path / "in"
+    write_economy(src, golden.economy)
+    write_matching(src / "matching.csv", golden.matching.assignment)
+    row = _append_row(src / name, row_of)
+    cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
+                    capacities=list(golden.economy.capacities))
+    assert main(["bounds", "--config", str(cfg)]) == 2
+    assert f"{name} row {row}: {message}" in capsys.readouterr().err
+
+
 def test_ingest_without_outcomes_is_a_config_error(tmp_path, golden, capsys):
     src = tmp_path / "in"
     write_economy(src, golden.economy)
@@ -484,7 +515,7 @@ def test_closure_cap_overrun_is_a_status(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["counts"] == {"skipped-closure-cap": 4}
     for s in manifest["statuses"]:
-        assert s["reason"] == "plus side: union closure exceeds cap 1"
+        assert s["reason"] == "plus side: connected unions exceed cap 1"
     for blk in json.loads((out / "identify.json").read_text()):
         assert blk["plus"] is None and blk["falsification"] is None
     entries = json.loads((out / "bounds.json").read_text())
