@@ -248,17 +248,19 @@ def build_polytope(stats_plus: ContainmentStats | None,
                    stats_minus: ContainmentStats | None) -> DistPolytope:
     """Combine both sides' containment rows over a shared atom list.
 
-    A set that is a row on both sides gets the larger of the two
-    frequencies as its lower bound; a one-sided row gets that side's
-    frequency.  Either side may be absent (one-sided designs), not both.
+    Each side's connected unions are rows.  A row's lower bound is the
+    larger share across the sides on which the set is a union of candidate
+    sets, connected there or not.  Either side may be absent (one-sided
+    designs), not both.
     """
-    if stats_plus is None and stats_minus is None:
+    sides = [s for s in (stats_plus, stats_minus) if s is not None]
+    if not sides:
         raise IdentifyError("no side data at all")
     bounds: dict[PairSet, float] = {}
-    for stats in (stats_plus, stats_minus):
-        if stats is not None:
-            for a, p in stats.containment.items():
-                bounds[a] = max(bounds.get(a, p), p)
+    for a in set().union(*(s.containment for s in sides)):
+        shares = [s.containment[a] if a in s.containment else s.union_share(a)
+                  for s in sides]
+        bounds[a] = max(p for p in shares if p is not None)
     atoms = set().union(*bounds)
     rows = tuple((a, bounds[a]) for a in _canon(bounds))
     return DistPolytope(atoms=tuple(sorted(atoms)), rows=rows)
@@ -301,17 +303,18 @@ def solve_bounds_on_event(poly: DistPolytope,
 
 
 def _lp_interval(c, A_ub, b_ub, A_eq, b_eq, what: str) -> tuple[float, float]:
-    """[min, max] of ``c.x`` over a polytope, from one solve per end.
+    """[min, max] of ``c.x`` over a polytope, from one solve per end, the
+    max re-solved from the min's final tableau.
 
     An infeasible polytope raises ``InfeasiblePolytopeError`` naming
-    ``what``.  Two separate solves of a point-identified value can leave the
-    max a rounding error below the min; up to ``FEAS_TOL`` that is the point
-    at the min, beyond it a solver fault.
+    ``what``.  Two solves of a point-identified value can leave the max a
+    rounding error below the min; up to ``FEAS_TOL`` that is the point at
+    the min, beyond it a solver fault.
     """
     lo = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
     if lo.status == "infeasible":
         raise InfeasiblePolytopeError(f"{what} admit no distribution")
-    hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
+    hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True, start=lo)
     if not (lo.ok and hi.ok):
         raise SimplexError(f"unexpected LP status {lo.status}/{hi.status}")
     lower, upper = float(lo.value), float(hi.value)

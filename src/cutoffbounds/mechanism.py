@@ -63,6 +63,9 @@ def run_da(eco: Economy) -> Matching:
     reports = _require_reports(eco)
     n, J = eco.n_students, eco.n_schools
     qs = eco.capacities
+    # one list of Python floats per score column, shared by its schools
+    cols = {g: eco.score_cols[:, g].tolist() for g in set(eco.score_groups)}
+    scores = [None] + [cols[g] for g in eco.score_groups]
 
     # per-school min-heap of (score, student) among currently held students
     held: list[list[tuple[float, int]]] = [[] for _ in range(J + 1)]
@@ -78,7 +81,7 @@ def run_da(eco: Economy) -> Matching:
             q = qs[j - 1]
             if q == 0:
                 continue
-            s = eco.score(i, j)
+            s = scores[j][i]
             heap = held[j]
             if len(heap) < q:
                 heapq.heappush(heap, (s, i))
@@ -148,8 +151,8 @@ def extract_cutoffs(matching: Matching, eco: Economy,
         elif fill < q:
             values.append(floor)
         else:
-            admitted = matching.assigned_to(j)
-            values.append(min(eco.score(i, j) for i in admitted))
+            admitted = list(matching.assigned_to(j))
+            values.append(float(eco.school_scores(j)[admitted].min()))
     return CutoffProfile(values=tuple(values), floor=floor)
 
 

@@ -8,6 +8,13 @@ schools on each side of the cutoff; the strong discipline (lists are also
 maximal) collapses it to a singleton whenever the list is short of the cap.
 An access-containment relation between schools ("every student who clears d
 also clears e") removes further candidates.
+
+Every regime assumes that the option a student is assigned, the best
+reported school in the realised budget set, is also the student's true best
+option in that set: the candidate sets vary only the counterfactual side.
+Truncated lists can break this (a student above a cutoff who lists only
+schools out of reach is unassigned although the school at the cutoff is
+acceptable), and such a student's true pair is not in their candidate set.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ checks."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutoffbounds import (
@@ -90,6 +90,13 @@ _SIDE = st.lists(st.tuples(st.frozensets(_PAIRS, min_size=1, max_size=4),
 
 @settings(max_examples=100, deadline=None)
 @given(plus=_SIDE, minus=_SIDE, event=st.frozensets(_PAIRS, min_size=1))
+# a minus row that is a union of plus candidate sets, and a plus row that
+# is a disconnected union of minus ones: each takes the other side's share
+@example(plus=[({(0, 0)}, 1), ({(0, 1)}, 1)],
+         minus=[({(1, 0)}, 1), ({(0, 0), (0, 1)}, 1)], event={(0, 0)})
+@example(plus=[({(1, 0)}, 1), ({(0, 0), (0, 1), (0, 2), (1, 2)}, 1)],
+         minus=[({(1, 2)}, 1), ({(0, 0), (0, 1), (0, 2)}, 1)],
+         event={(0, 0)})
 def test_connected_rows_keep_the_closure_polytope(plus, minus, event):
     plus = [_obs(q, w=float(w)) for q, w in plus]
     minus = [_obs(q, w=float(w)) for q, w in minus]
@@ -295,7 +302,7 @@ def _crossed_solver(gap):
     """An LP solver whose max comes back ``gap`` below its min of 0.25."""
 
     def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-              tol=FEAS_TOL, maximize=False):
+              tol=FEAS_TOL, maximize=False, start=None):
         return LPResult("optimal", value=0.25 - gap if maximize else 0.25)
 
     return solve

@@ -167,3 +167,109 @@ def test_tall_narrow_programs_match_scipy(feasible):
             assert abs(A_eq @ mine.x - b_eq).max() <= 1e-9
             assert c @ mine.x == pytest.approx(mine.value, abs=1e-12)
     assert set(statuses) == {"optimal" if feasible else "infeasible"}
+
+
+def _general_program(rng):
+    """Random rows with x = 0 feasible: the max is often unbounded."""
+    n = int(rng.integers(2, 7))
+    m_ub, m_eq = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    A_eq = rng.uniform(0.2, 1.0, size=(m_eq, n)) if m_eq else None
+    b_eq = rng.uniform(0.5, 1.5, size=m_eq) if m_eq else None
+    return (rng.normal(size=n), rng.normal(size=(m_ub, n)),
+            rng.uniform(0.5, 2.0, size=m_ub), A_eq, b_eq)
+
+
+def _degenerate_program(rng):
+    """A probability vector under rows that all bind at one vertex: the
+    first unit vector, where every ``x_k - x_0 <= 0`` row is tight."""
+    n = int(rng.integers(3, 7))
+    A_ub = np.zeros((2 * (n - 1), n))
+    for k in range(1, n):
+        A_ub[k - 1, [0, k]] = [-1.0, 1.0]              # x_k <= x_0
+        A_ub[n + k - 2, [0, k]] = [-2.0, rng.uniform(0.5, 2.0)]
+    return (rng.normal(size=n), A_ub, np.zeros(2 * (n - 1)),
+            np.ones((1, n)), np.ones(1))
+
+
+def _event_program(rng):
+    n_atoms = int(rng.integers(4, 30))
+    A_ub, b_ub, A_eq, b_eq = _tall_event_program(
+        rng, int(rng.integers(20, 400)), n_atoms, feasible=True)
+    c = np.zeros(n_atoms + 1)
+    c[rng.choice(n_atoms, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+def _check_end(res, ref, sense, c, A_ub, b_ub, A_eq, b_eq):
+    """One end of a feasible program against HiGHS, whose presolve may
+    report an unbounded program as infeasible-or-unbounded (status 2)."""
+    assert ref.status in (0, 2, 3), ref.message
+    assert res.status == ("optimal" if ref.status == 0 else "unbounded")
+    if not res.ok:
+        return
+    assert res.value == pytest.approx(sense * ref.fun, abs=1e-9)
+    assert res.x.min() >= 0.0
+    assert (A_ub @ res.x - b_ub).max() <= 1e-9
+    if A_eq is not None:
+        assert abs(A_eq @ res.x - b_eq).max() <= 1e-9
+    assert c @ res.x == pytest.approx(res.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("degenerate_run", [simplex.DEGENERATE_RUN, 0])
+def test_warm_started_max_matches_cold_solves_and_highs(monkeypatch,
+                                                        degenerate_run):
+    # degenerate_run 0 runs Bland's rule in both loops from the first pivot
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", degenerate_run)
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for make in (_general_program, _degenerate_program, _event_program):
+        for trial in range(40):
+            c, A_ub, b_ub, A_eq, b_eq = make(rng)
+            lo = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+            if not lo.ok:
+                continue
+            hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True, start=lo)
+            cold = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
+            assert hi.status == cold.status, (make.__name__, trial)
+            if hi.ok:
+                assert hi.value == pytest.approx(cold.value, abs=1e-9)
+            for res, sense in ((lo, 1.0), (hi, -1.0)):
+                ref = linprog(sense * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                              b_eq=b_eq, bounds=(0, None), method="highs")
+                _check_end(res, ref, sense, c, A_ub, b_ub, A_eq, b_eq)
+            seen.add((make.__name__, hi.status))
+    assert seen >= {("_general_program", "optimal"),
+                    ("_general_program", "unbounded"),
+                    ("_degenerate_program", "optimal"),
+                    ("_event_program", "optimal")}
+
+
+def test_warm_start_repr_and_equality_leave_out_the_tableau():
+    res = solve_lp([1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+    assert res.tableau is not None
+    assert "tableau" not in repr(res)
+    plain = LPResult(res.status, res.x, res.value)
+    assert plain == res
+    assert solve_lp([1.0], A_ub=[[1.0]], b_ub=[-1.0]).tableau is None
+
+
+def test_dual_simplex_raises_when_it_runs_out_of_pivots(monkeypatch):
+    rng = np.random.default_rng(99)
+    c, A_ub, b_ub, A_eq, b_eq = _event_program(rng)
+    lo = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    pivots = []
+    real_pivot = simplex._pivot
+
+    def counting_pivot(*args):
+        pivots.append(args[2:])
+        real_pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+    hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True, start=lo)
+    assert hi.ok and len(pivots) >= 2
+    monkeypatch.setattr(simplex, "_max_iter", lambda T: len(pivots) - 1)
+    with pytest.raises(SimplexError, match="dual simplex failed to converge"):
+        solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True, start=lo)
+    # the start is left as it was
+    again = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True, start=lo)
+    assert again.ok
