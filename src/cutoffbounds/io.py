@@ -1,5 +1,18 @@
 """CSV and JSON plumbing: economies, matchings, cutoffs, run artifacts.
 
+Every input file is read the same way.  The header is parsed with the
+``csv`` module and checked.  The rest of the file goes to numpy's C reader
+(``np.loadtxt``), which parses the integer columns as int64 and, when the
+file has float columns, every column once more as float64; the columns
+are then checked as arrays.  The C reader declines some valid input that
+``csv`` with Python's ``int`` and ``float`` reads (quoted fields, ids
+beyond 64 bits, ``1_0``, non-ASCII digits), and any file where it would
+read something else: a row of the wrong width, a blank line in
+``students.csv``.  Then, and whenever a check on the arrays fails, the file
+is read again row by row.  That path accepts every valid file and names
+the first bad row of an invalid one, so both paths return the same values
+and raise the same errors.
+
 Scores travel as one column per school even when schools share a column
 internally; reading infers the sharing structure back from exact column
 equality.  All floats are written with round-trip precision, and JSON
@@ -13,7 +26,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from operator import itemgetter
+import warnings
+from io import StringIO
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -47,19 +61,64 @@ def _parse_int(text: str, where: str) -> int:
 _CHECKED = {int: _parse_int, float: _parse_float}
 
 
-def _read_table(path: Path, expected: Sequence[str]) -> list[list[str]]:
-    """Data rows of a CSV file whose header must be ``expected``.
-
-    Blank lines are skipped, so the row numbers in messages count the rows
-    that carry data, the header being row 1.
-    """
+def _split_header(path: Path) -> tuple[list[str] | None, str]:
+    """The header's fields (None for an empty file) and the text after it."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, [])
-        if head != list(expected):
-            raise IngestError(
-                f"{path.name}: header {head} != expected {list(expected)}")
-        return [row for row in reader if row]
+        head = next(csv.reader(fh), None)
+        return head, fh.read()
+
+
+def _table_body(path: Path, expected: Sequence[str]) -> str:
+    """The text after the header of a CSV file whose header must be
+    ``expected``."""
+    head, body = _split_header(path)
+    if (head or []) != list(expected):
+        raise IngestError(
+            f"{path.name}: header {head or []} != expected {list(expected)}")
+    return body
+
+
+def _body_rows(body: str, keep_blank: bool = False) -> list[list[str]]:
+    """The rows of ``body`` as ``csv`` reads them; a blank line is skipped,
+    or with ``keep_blank`` kept as ``[]``."""
+    rows = csv.reader(StringIO(body, newline=""))
+    return list(rows) if keep_blank else [row for row in rows if row]
+
+
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": None,
+            "ndmin": 2}
+
+
+def _load_body(body: str, n_fields: int, n_int: int, every_line: bool = False
+               ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(ints, floats)``: the first ``n_int`` columns of ``body`` as int64
+    and, when there are more columns, all ``n_fields`` as float64 (else
+    None), parsed by numpy's C reader.
+
+    None when that reader declines the text or a warning is raised, when a
+    row is not ``n_fields`` wide, and with ``every_line`` when a line is
+    blank (numpy skips blank lines).  The caller then reads the rows one by
+    one.
+    """
+    def load(dtype, **kw):
+        return np.loadtxt(StringIO(body), dtype=dtype, **_LOADTXT, **kw)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if n_int == n_fields:
+                ints, floats = load(np.int64), None
+            else:
+                floats = load(np.float64)
+                ints = load(np.int64, usecols=range(n_int))
+    except (ValueError, Warning):
+        return None
+    if (floats if floats is not None else ints).shape[1] != n_fields:
+        return None
+    if every_line and len(ints) != (body.count("\n")
+                                    + (not body.endswith("\n"))):
+        return None
+    return ints, floats
 
 
 def _numbered(path: Path, rows: Sequence[list[str]], n_fields: int):
@@ -72,39 +131,37 @@ def _numbered(path: Path, rows: Sequence[list[str]], n_fields: int):
         yield where, row
 
 
-def _columns(rows: Sequence[list[str]],
-             types: Sequence[type]) -> list[list] | None:
-    """Each column converted by its type (``int`` or ``float``) in one pass.
-
-    None when a row has the wrong number of fields or a value does not
-    convert: the caller then reads the rows one by one, which finds the
-    first bad row and names it.
-    """
-    if not rows:
-        return [[] for _ in types]
-    if set(map(len, rows)) != {len(types)}:
-        return None
+def _positions(keys: np.ndarray, ids: Sequence[int]) -> np.ndarray | None:
+    """The index in ``ids`` of each of ``keys``; None when a key is not
+    among ``ids`` or an id does not fit in int64."""
     try:
-        return [list(map(t, map(itemgetter(k), rows)))
-                for k, t in enumerate(types)]
-    except ValueError:
+        ids = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
         return None
+    if not len(ids):
+        return None
+    order = np.argsort(ids, kind="stable")
+    at = order[np.minimum(np.searchsorted(ids[order], keys), len(ids) - 1)]
+    return at if np.array_equal(ids[at], keys) else None
 
 
 def _read_keyed(path: Path, header: Sequence[str], kind: type,
                 duplicate: str) -> dict[int, Any]:
-    """``{key: value}`` from a file of integer keys and ``kind`` values.
+    """``{key: value}`` from a file of integer keys and ``kind`` values,
+    in file order.
 
     ``duplicate`` is the message for a repeated key, formatted with it.
     """
-    rows = _read_table(path, header)
-    cols = _columns(rows, (int, kind))
+    body = _table_body(path, header)
+    cols = _load_body(body, 2, 2 if kind is int else 1)
     if cols is not None:
-        out = dict(zip(*cols))
-        if len(out) == len(rows):
+        ints, floats = cols
+        values = ints[:, 1] if floats is None else floats[:, 1]
+        out = dict(zip(ints[:, 0].tolist(), values.tolist()))
+        if len(out) == len(ints):
             return out
     out = {}
-    for where, row in _numbered(path, rows, 2):
+    for where, row in _numbered(path, _body_rows(body), 2):
         key = _parse_int(row[0], where)
         if key in out:
             raise IngestError(f"{where}: {duplicate.format(key)}")
@@ -144,31 +201,32 @@ def write_students(path: Path, eco: Economy) -> None:
 
 def read_students(path: Path) -> tuple[list[int], np.ndarray]:
     """Student ids plus per-school score matrix (n, J)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path.name}: empty file") from None
-        if not head or head[0] != "id" or len(head) < 2:
-            raise IngestError(f"{path.name}: header must be id,s_1..s_J")
-        want = [f"s_{j}" for j in range(1, len(head))]
-        if head[1:] != want:
-            raise IngestError(f"{path.name}: score columns must be {want}")
-        rows = list(reader)
-    types = (int,) + (float,) * (len(head) - 1)
-    cols = _columns(rows, types)
-    if cols is None:
-        cols = [[] for _ in types]
-        for where, row in _numbered(path, rows, len(head)):
-            for col, t, text in zip(cols, types, row):
+    head, body = _split_header(path)
+    if head is None:
+        raise IngestError(f"{path.name}: empty file")
+    if not head or head[0] != "id" or len(head) < 2:
+        raise IngestError(f"{path.name}: header must be id,s_1..s_J")
+    want = [f"s_{j}" for j in range(1, len(head))]
+    if head[1:] != want:
+        raise IngestError(f"{path.name}: score columns must be {want}")
+    cols = _load_body(body, len(head), 1, every_line=True)
+    if cols is not None:
+        ids = cols[0][:, 0].tolist()
+        scores = np.ascontiguousarray(cols[1][:, 1:])
+    else:
+        types = (int,) + (float,) * (len(head) - 1)
+        columns = [[] for _ in types]
+        for where, row in _numbered(path, _body_rows(body, keep_blank=True),
+                                    len(head)):
+            for col, t, text in zip(columns, types, row):
                 col.append(_CHECKED[t](text, where))
-    ids = cols[0]
+        ids = columns[0]
+        scores = np.array(columns[1:]).T.copy()
     if not ids:
         raise IngestError(f"{path.name}: no students")
     if len(set(ids)) != len(ids):
         raise IngestError(f"{path.name}: duplicate student ids")
-    return ids, np.array(cols[1:]).T.copy()
+    return ids, scores
 
 
 def infer_score_groups(per_school: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -212,27 +270,26 @@ def read_rols(path: Path, ids: Sequence[int],
     once; only when a check fails are the rows read one by one, which
     finds the failing row or student and names it.
     """
-    rows = _read_table(path, ["id", "rank", "school_id"])
-    reports = _rols_by_columns(rows, ids, n_schools, list_cap)
+    body = _table_body(path, ["id", "rank", "school_id"])
+    cols = _load_body(body, 3, 3)
+    reports = None if cols is None else _rols_by_columns(
+        cols[0], ids, n_schools, list_cap)
     if reports is None:
-        reports = _rols_by_rows(path, rows, ids, n_schools, list_cap)
+        reports = _rols_by_rows(path, _body_rows(body), ids, n_schools,
+                                list_cap)
     return reports
 
 
-def _rols_by_columns(rows, ids, n_schools, list_cap):
-    """The lists, or None when any row or list fails a check."""
-    cols = _columns(rows, (int, int, int))
-    if cols is None or not rows:
-        return None
-    sid, rank, school = cols
-    position = {s: k for k, s in enumerate(ids)}
-    owner = list(map(position.get, sid))
-    if None in owner:
+def _rols_by_columns(table, ids, n_schools, list_cap):
+    """The lists from the (rows, 3) int array of ``rols.csv``, or None when
+    any row or list fails a check."""
+    owner = _positions(table[:, 0], ids)
+    if owner is None:
         return None                            # unknown student id
-    if (min(rank) < 1 or max(rank) > list_cap
-            or min(school) < 1 or max(school) > n_schools):
+    rank, school = table[:, 1], table[:, 2]
+    if (rank.min() < 1 or rank.max() > list_cap
+            or school.min() < 1 or school.max() > n_schools):
         return None
-    owner, rank, school = np.array(owner), np.array(rank), np.array(school)
     order = np.lexsort((rank, owner))
     owner, rank, school = owner[order], rank[order], school[order]
     counts = np.bincount(owner, minlength=len(ids))
@@ -246,8 +303,7 @@ def _rols_by_columns(rows, ids, n_schools, list_cap):
         return None                            # a school listed twice
     flat = school.tolist()
     ends = np.cumsum(counts).tolist()
-    return tuple(map(tuple, map(flat.__getitem__,
-                                map(slice, [0] + ends[:-1], ends))))
+    return tuple([tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)])
 
 
 def _rols_by_rows(path, rows, ids, n_schools, list_cap):
@@ -329,10 +385,20 @@ def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
     J = n_schools
     head = (["id"] + [f"q_{r}" for r in range(1, J + 2)]
             + [f"y_{d}" for d in range(J + 1)])
-    rows = _read_table(path, head)
+    body = _table_body(path, head)
+    cols = _load_body(body, len(head), J + 2)
+    if cols is not None:
+        ints, floats = cols
+        row_of = dict(zip(ints[:, 0].tolist(), range(len(ints))))
+        if (len(row_of) == len(ints)
+                and (np.sort(ints[:, 1:], axis=1) == np.arange(J + 1)).all()):
+            _check_students(path, row_of, ids, "no truth row for students")
+            rows = [row_of[s] for s in ids]
+            return EconomyTruth(pref_orders=ints[rows, 1:],
+                                potential=floats[rows, J + 2:])
     orders: dict[int, list[int]] = {}
     pots: dict[int, list[float]] = {}
-    for where, row in _numbered(path, rows, len(head)):
+    for where, row in _numbered(path, _body_rows(body), len(head)):
         sid = _parse_int(row[0], where)
         if sid in orders:
             raise IngestError(
@@ -347,11 +413,13 @@ def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
                         potential=np.array([pots[s] for s in ids]))
 
 
-def write_matching(path: Path, assignment: Sequence[int]) -> None:
+def write_matching(path: Path, assignment: Sequence[int],
+                   ids: Sequence[int]) -> None:
+    """One row per student: its id, from ``ids``, and its assigned school."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "assigned_school"])
-        for i, j in enumerate(assignment):
+        for i, j in zip(ids, assignment):
             writer.writerow([i, int(j)])
 
 
@@ -390,11 +458,13 @@ def write_economy(out_dir: Path, eco: Economy) -> None:
 
 
 def load_economy(in_dir: Path, list_cap: int,
-                 capacities: Sequence[int]) -> Economy:
+                 capacities: Sequence[int]) -> tuple[Economy, list[int]]:
     """Assemble an economy from CSV files in ``in_dir``.
 
-    ``truth.csv`` and ``outcomes.csv`` are optional; capacities and the
-    list cap come from run configuration since the files do not carry them.
+    Returns the economy and the sorted ``students.csv`` ids: ``ids[i]`` is
+    the id of the economy's student ``i``.  ``truth.csv`` and
+    ``outcomes.csv`` are optional; capacities and the list cap come from
+    run configuration since the files do not carry them.
     """
     in_dir = Path(in_dir)
     ids, per_school = read_students(in_dir / "students.csv")
@@ -415,12 +485,13 @@ def load_economy(in_dir: Path, list_cap: int,
     if (in_dir / "truth.csv").exists():
         truth = read_truth(in_dir / "truth.csv", ids, n_schools)
     try:
-        return Economy(n_schools=n_schools, list_cap=list_cap,
-                       capacities=tuple(int(q) for q in capacities),
-                       score_groups=groups, score_cols=cols,
-                       reports=reports, y_observed=y, truth=truth)
+        eco = Economy(n_schools=n_schools, list_cap=list_cap,
+                      capacities=tuple(int(q) for q in capacities),
+                      score_groups=groups, score_cols=cols,
+                      reports=reports, y_observed=y, truth=truth)
     except EconomyError as exc:
         raise IngestError(str(exc)) from None
+    return eco, ids
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,9 @@ class RunData:
     assignment: np.ndarray
     bandwidth: float
     min_local_n: int
+    # the id of each student of ``economy``, in order: the positions for a
+    # generated economy, the sorted ``students.csv`` ids for an ingested one
+    student_ids: Sequence[int]
     input_checksums: dict[str, str] = field(default_factory=dict)
     warnings: dict[str, Any] = field(default_factory=dict)
 
@@ -235,7 +238,8 @@ def resolve_source(cfg: RunConfig) -> RunData:
                        bandwidth=bandwidth if bandwidth is not None
                        else inst.bandwidth,
                        min_local_n=min_local_n if min_local_n is not None
-                       else inst.min_local_n)
+                       else inst.min_local_n,
+                       student_ids=range(inst.economy.n_students))
     if bandwidth is None:
         bandwidth = 30.0
     if min_local_n is None:
@@ -248,18 +252,19 @@ def resolve_source(cfg: RunConfig) -> RunData:
         eco = observe_outcomes(eco, matching.assignment)
         return RunData(economy=eco, cutoffs=extract_cutoffs(matching, eco),
                        assignment=np.asarray(matching.assignment),
-                       bandwidth=bandwidth, min_local_n=min_local_n)
+                       bandwidth=bandwidth, min_local_n=min_local_n,
+                       student_ids=range(eco.n_students))
 
     in_dir = Path(cfg.input_dir or ".")
-    eco = io.load_economy(in_dir, cfg.list_cap, cfg.capacities or ())
+    eco, ids = io.load_economy(in_dir, cfg.list_cap, cfg.capacities or ())
     matching = _mechanism_run(eco, cfg.mechanism)
     warnings: dict[str, Any] = {}
     supplied_path = in_dir / "matching.csv"
     if supplied_path.exists():
-        ids = list(range(eco.n_students))
         supplied = io.read_matching(supplied_path, ids)
-        flipped = [i for i in ids
-                   if int(supplied[i]) != int(matching.assignment[i])]
+        flipped = [sid for sid, given, ran
+                   in zip(ids, supplied.tolist(), matching.assignment)
+                   if given != ran]
         if flipped:
             warnings["assignment_mismatches"] = flipped
     checksums = {}
@@ -282,7 +287,8 @@ def resolve_source(cfg: RunConfig) -> RunData:
     return RunData(economy=eco, cutoffs=cutoffs,
                    assignment=np.asarray(matching.assignment),
                    bandwidth=bandwidth, min_local_n=min_local_n,
-                   input_checksums=checksums, warnings=warnings)
+                   student_ids=ids, input_checksums=checksums,
+                   warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +544,8 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
         return manifest
 
     t = time.perf_counter()
-    io.write_matching(out_dir / "matching.csv", data.assignment)
+    io.write_matching(out_dir / "matching.csv", data.assignment,
+                      data.student_ids)
     io.write_cutoffs(out_dir / "cutoffs.csv",
                      {j: data.cutoffs.cutoff(j)
                       for j in range(1, eco.n_schools + 1)})
@@ -572,7 +579,7 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
                                              regime,
                                              umas if regime.umas else None)
              for j in sorted({p.school for p in pairs}) for regime in regimes}
-    _write_qsets_csv(out_dir, samples, qsets)
+    _write_qsets_csv(out_dir, samples, qsets, data.student_ids)
     timings["qsets"] = time.perf_counter() - t
     if depth < 4:
         _finish_run(out_dir, manifest, timings, t0)
@@ -622,7 +629,8 @@ def _finish_run(out_dir: Path, manifest: dict[str, Any],
 
 
 def _write_qsets_csv(out_dir: Path, samples: Mapping[int, LocalSample],
-                     qsets: Mapping[tuple[int, str], WindowQsets]) -> None:
+                     qsets: Mapping[tuple[int, str], WindowQsets],
+                     student_ids: Sequence[int]) -> None:
     with open(out_dir / "qsets.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["school", "regime", "student_id", "side", "qset"])
@@ -630,7 +638,7 @@ def _write_qsets_csv(out_dir: Path, samples: Mapping[int, LocalSample],
             text = {q: _serialize_qset(q) for q in {*plus, *minus}}
             for side, ids, sets in (("plus", samples[j].plus_ids, plus),
                                     ("minus", samples[j].minus_ids, minus)):
-                writer.writerows([j, label, i, side, text[q]]
+                writer.writerows([j, label, student_ids[i], side, text[q]]
                                  for i, q in zip(ids, sets))
 
 

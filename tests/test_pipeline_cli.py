@@ -373,7 +373,7 @@ def test_ingest_recomputes_and_flags_mismatches(tmp_path, golden, capsys):
     write_economy(src, golden.economy)
     flipped = list(golden.matching.assignment)
     flipped[0] = 0 if flipped[0] != 0 else 1
-    write_matching(src / "matching.csv", flipped)
+    write_matching(src / "matching.csv", flipped, range(len(flipped)))
     cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
                     capacities=list(golden.economy.capacities))
     assert main(["bounds", "--config", str(cfg)]) == 0
@@ -383,6 +383,56 @@ def test_ingest_recomputes_and_flags_mismatches(tmp_path, golden, capsys):
     assert set(manifest["inputs"]) == {"students.csv", "rols.csv",
                                        "outcomes.csv", "truth.csv",
                                        "matching.csv"}
+
+
+def _shift_ids(src, dst, by):
+    """Copy the input files of ``src`` into ``dst`` with every student id
+    raised by ``by``."""
+    dst.mkdir()
+    for name in ("students.csv", "rols.csv", "outcomes.csv", "truth.csv"):
+        head, *rows = (src / name).read_text().splitlines()
+        rows = [_with_id(f, int(f[0]) + by)
+                for f in (row.split(",") for row in rows)]
+        (dst / name).write_text("\n".join([head] + rows) + "\n")
+
+
+def test_ingest_artifacts_carry_the_students_csv_ids(tmp_path):
+    # 400 students with ids 100..499: the run's matching.csv and qsets.csv
+    # name them by id, and its own matching, supplied back, matches itself
+    dgp = RunConfig(dgp={"n_students": 400, "n_schools": 3, "list_cap": 2},
+                    seed=2, out_dir=str(tmp_path / "base"))
+    run_pipeline(dgp, stage="simulate")
+    _shift_ids(tmp_path / "base", tmp_path / "shifted", 100)
+    capacities = resolve_source(dgp).economy.capacities
+    out = {}
+    for name in ("base", "shifted"):
+        cfg = RunConfig(input_dir=str(tmp_path / name), capacities=capacities,
+                        bandwidth=100.0, min_local_n=5,
+                        out_dir=str(tmp_path / f"out-{name}"))
+        run_pipeline(cfg, stage="qsets")
+        out[name] = {f: list(csv.reader(
+            (tmp_path / f"out-{name}" / f).read_text().splitlines()))
+            for f in ("matching.csv", "qsets.csv")}
+    base, shifted = out["base"], out["shifted"]
+    assert len(base["qsets.csv"]) > 1
+    assert [r[0] for r in shifted["matching.csv"][1:]] == \
+        [str(i) for i in range(100, 500)]
+    assert shifted["matching.csv"][1:] == [
+        [str(int(sid) + 100), j] for sid, j in base["matching.csv"][1:]]
+    assert shifted["qsets.csv"][1:] == [
+        r[:2] + [str(int(r[2]) + 100)] + r[3:] for r in base["qsets.csv"][1:]]
+
+    src = tmp_path / "shifted"
+    (src / "matching.csv").write_text(
+        (tmp_path / "out-shifted" / "matching.csv").read_text())
+    cfg = RunConfig(input_dir=str(src), capacities=capacities,
+                    out_dir=str(tmp_path / "again"))
+    assert run_pipeline(cfg, stage="match")["warnings"] == {}
+    rows = shifted["matching.csv"]
+    rows[5][1] = "0" if rows[5][1] != "0" else "1"
+    (src / "matching.csv").write_text("".join(f"{a},{b}\n" for a, b in rows))
+    assert run_pipeline(cfg, stage="match")["warnings"] == {
+        "assignment_mismatches": [int(rows[5][0])]}
 
 
 def test_ingest_cutoff_override(tmp_path, golden):
@@ -482,7 +532,8 @@ def test_ingest_rejects_unknown_and_repeated_students(tmp_path, golden, capsys,
                                                       name, row_of, message):
     src = tmp_path / "in"
     write_economy(src, golden.economy)
-    write_matching(src / "matching.csv", golden.matching.assignment)
+    write_matching(src / "matching.csv", golden.matching.assignment,
+                   range(golden.economy.n_students))
     row = _append_row(src / name, row_of)
     cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
                     capacities=list(golden.economy.capacities))

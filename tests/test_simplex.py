@@ -273,3 +273,71 @@ def test_dual_simplex_raises_when_it_runs_out_of_pivots(monkeypatch):
     # the start is left as it was
     again = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True, start=lo)
     assert again.ok
+
+
+def _bland_dual_pivot(real_pivot, seen):
+    """A ``_pivot`` that first checks the dual simplex step under Bland's
+    rule: the row leaving is the infeasible one with the lowest basic
+    index, the column entering the lowest one of least ratio.  ``seen``
+    counts the steps, and the steps where another infeasible row (the
+    most negative, the first, the last) would have been chosen."""
+    def pivot(T, basis, row, col):
+        m = T.shape[0] - 1
+        rhs = T[:m, -1]
+        short = np.flatnonzero(rhs < -FEAS_TOL)
+        assert row == short[basis[short].argmin()]
+        entries = T[row, :-1]
+        ratios = np.full(entries.size, np.inf)
+        np.divide(T[-1, :-1], -entries, out=ratios, where=entries < -FEAS_TOL)
+        assert col == np.flatnonzero(ratios <= ratios.min()
+                                     + simplex.RATIO_TIE)[0]
+        seen["steps"] += 1
+        seen["other"] += row not in {short[0], short[-1], rhs.argmin()}
+        real_pivot(T, basis, row, col)
+    return pivot
+
+
+def test_dual_simplex_bland_rule_takes_the_lowest_basic_index(monkeypatch):
+    # every row is infeasible; the most negative is row 0, the last row 2,
+    # and the lowest basic index (2) is in row 1
+    T = np.array([[-1.0, 1.0, 0.0, -1.0, 0.0, 1.0, -3.0],
+                  [-1.0, -1.0, 1.0, 0.0, 0.0, 0.0, -1.0],
+                  [0.0, -1.0, 0.0, -1.0, 1.0, 0.0, -2.0],
+                  [1.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0]])
+    basis = np.array([5, 2, 4])
+    pivots = []
+    real_pivot = simplex._pivot
+
+    def recording_pivot(T, basis, row, col):
+        pivots.append((int(row), int(col)))
+        real_pivot(T, basis, row, col)
+
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", 0)
+    monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+    assert simplex._dual_optimize(T, basis, 6, FEAS_TOL, 50) == "optimal"
+    assert pivots[0] == (1, 0)
+    assert T[:3, -1].min() >= -FEAS_TOL and T[-1, :6].min() >= -FEAS_TOL
+
+
+def test_warm_started_max_follows_bland_rule(monkeypatch):
+    # the dual loop under Bland's rule from its first pivot, on the warm
+    # starts of the general and tall programs above
+    rng = np.random.default_rng(5150)
+    seen = {"steps": 0, "other": 0}
+    checked = _bland_dual_pivot(simplex._pivot, seen)
+    for make in (_general_program, _degenerate_program, _event_program):
+        for _ in range(30):
+            c, A_ub, b_ub, A_eq, b_eq = make(rng)
+            lo = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+            if not lo.ok:
+                continue
+            cold = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True)
+            with monkeypatch.context() as m:
+                m.setattr(simplex, "DEGENERATE_RUN", 0)
+                m.setattr(simplex, "_pivot", checked)
+                hi = solve_lp(c, A_ub, b_ub, A_eq, b_eq, maximize=True,
+                              start=lo)
+            assert hi.status == cold.status
+            if hi.ok:
+                assert hi.value == pytest.approx(cold.value, abs=1e-9)
+    assert seen["steps"] >= 300 and seen["other"] >= 50
