@@ -188,11 +188,10 @@ class EffectBounds:
         return self.lower - tol <= x <= self.upper + tol
 
 
-def effect_bounds(plus: SideBounds, minus: SideBounds,
-                  method: str = "hm") -> EffectBounds:
+def effect_bounds(plus: SideBounds, minus: SideBounds) -> EffectBounds:
     """Interval difference: jump = plus-side mean minus minus-side mean."""
     return EffectBounds(lower=plus.lower - minus.upper,
-                        upper=plus.upper - minus.lower, method=method)
+                        upper=plus.upper - minus.lower, method="hm")
 
 
 def naive_rd(obs_plus: Sequence[LocalObs], obs_minus: Sequence[LocalObs],

@@ -370,6 +370,10 @@ def delta_bounds(poly: DistPolytope, pair: Pair,
 # falsification
 
 
+# a partition's summed lower bounds may exceed one by rounding only
+FALSIFICATION_LIMIT = 1.0 + 1e-9
+
+
 @dataclass(frozen=True)
 class PartitionCheck:
     name: str
@@ -428,18 +432,18 @@ def falsification_test(stats_plus: ContainmentStats | None,
                        n_schools: int,
                        pair: Pair | None = None,
                        partitions: Sequence[tuple[str, tuple[PairSet, ...]]] | None = None,
-                       tol: float = 1e-9,
-                       allowance: float = 0.0) -> FalsificationReport:
+                       ) -> FalsificationReport:
     """Sum, over each partition of the pair space, the implied lower bounds.
 
-    A sum above ``1 + tol + allowance`` means no single distribution can
-    satisfy every containment inequality: the assumed discipline is
-    falsified.  ``allowance`` absorbs sampling noise in finite samples and
-    defaults to zero (exact, appropriate at population scale).
+    A sum above ``FALSIFICATION_LIMIT`` (one, up to rounding) means no
+    distribution satisfies every containment inequality: the assumed
+    discipline is falsified.  The limit makes no allowance for sampling
+    noise, and a looser one would change no status: the cells are disjoint
+    and the rows imply each cell's bound, so the event LP is then
+    infeasible too.  The check names the failing partition before any LP.
     """
     if partitions is None:
         partitions = default_partitions(stats_plus, stats_minus, n_schools, pair)
-    limit = 1.0 + tol + allowance
     checks = []
     for name, cells in partitions:
         covered: set[Pair] = set()
@@ -452,6 +456,7 @@ def falsification_test(stats_plus: ContainmentStats | None,
         stat = sum(_cell_lower_bound(cell, stats_plus, stats_minus)
                    for cell in cells)
         checks.append(PartitionCheck(name=name, statistic=float(stat),
-                                     limit=limit, passed=stat <= limit))
+                                     limit=FALSIFICATION_LIMIT,
+                                     passed=stat <= FALSIFICATION_LIMIT))
     return FalsificationReport(checks=tuple(checks),
                                passed=all(c.passed for c in checks))

@@ -132,16 +132,14 @@ def run_sd(eco: Economy) -> Matching:
     return Matching(assignment=tuple(assignment), fills=tuple(fills))
 
 
-def extract_cutoffs(matching: Matching, eco: Economy,
-                    floor: float | None = None) -> CutoffProfile:
+def extract_cutoffs(matching: Matching, eco: Economy) -> CutoffProfile:
     """Cutoffs implied by a matching.
 
     A school that fills its capacity has cutoff equal to the lowest admitted
     score. An under-filled school turns nobody away, so its cutoff is the
     score-support floor. A zero-capacity school admits nobody: +inf.
     """
-    if floor is None:
-        floor = eco.score_floor()
+    floor = eco.score_floor()
     values = []
     for j in range(1, eco.n_schools + 1):
         q = eco.capacities[j - 1]

@@ -18,7 +18,7 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -33,7 +33,7 @@ from .identify import (ClosureCapError, ContainmentStats, FalsificationSignal,
                        delta_bounds, falsification_test, local_obs)
 from .localpref import (ComparablePair, LocalSample, comparable_pairs,
                         local_samples)
-from .mechanism import CutoffProfile, extract_cutoffs, run_da, run_sd
+from .mechanism import CutoffProfile, extract_cutoffs, run_da
 from .presets import golden_sd, rigged_wpo, sample_economy, strategic_showcase_design
 from .qsets import (EMPTY_UMAS, QsetError, Regime, WindowQsets, detect_umas,
                     regime_from_label, window_qsets)
@@ -74,6 +74,41 @@ def parse_outcome(spec: Any) -> OutcomeTransform:
     raise PipelineError(f"unknown outcome kind {kind!r}")
 
 
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _outcome(spec: Any) -> Any:
+    parse_outcome(spec)
+    return spec
+
+
+def _dgp(value: Any) -> dict[str, Any]:
+    DGPConfig.from_dict(value)
+    return dict(value)
+
+
+def _listed(item):
+    def read(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(item(v) for v in value)
+    return read
+
+
+# how ``RunConfig.from_dict`` reads each top-level key besides the
+# ``falsification`` object, whose one key is ``action``
+_READERS = {
+    "preset": _text, "dgp": _dgp, "input_dir": _text,
+    "capacities": _listed(int), "list_cap": int, "sample_n": int,
+    "bandwidth": float, "min_local_n": int, "regimes": _listed(_text),
+    "outcomes": _listed(_outcome), "seed": int, "out_dir": _text,
+    "min_witnesses": int, "closure_cap": int, "support_cap": int,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs; built from a JSON config plus CLI flags."""
@@ -84,7 +119,6 @@ class RunConfig:
     capacities: tuple[int, ...] | None = None
     list_cap: int = 3
     sample_n: int = 20000
-    mechanism: str = "da"
     bandwidth: float | None = None
     min_local_n: int | None = None
     regimes: tuple[str, ...] = ("wpo", "wpo+umas", "spo", "spo+umas")
@@ -95,8 +129,6 @@ class RunConfig:
     closure_cap: int = 4096
     support_cap: int = 8
     falsification_action: str = "error"
-    falsification_tol: float = 1e-9
-    falsification_allowance: float = 0.0
 
     def __post_init__(self) -> None:
         chosen = [s for s in (self.preset, self.dgp, self.input_dir)
@@ -107,8 +139,6 @@ class RunConfig:
         if self.preset is not None and self.preset not in _PRESETS:
             raise PipelineError(f"unknown preset {self.preset!r};"
                                 f" choose from {_PRESETS}")
-        if self.mechanism not in ("da", "sd"):
-            raise PipelineError("mechanism must be 'da' or 'sd'")
         if not self.regimes:
             raise PipelineError("regimes must be nonempty")
         for label in self.regimes:
@@ -133,42 +163,25 @@ class RunConfig:
         fals = data.pop("falsification", {})
         if not isinstance(fals, Mapping):
             raise PipelineError("falsification must be an object")
+        unknown = sorted(k for k in data if k not in _READERS)
+        unknown += sorted(f"falsification.{k}" for k in fals if k != "action")
+        if unknown:
+            raise PipelineError(f"unknown config keys: {unknown}")
+        unset = {f.name for f in fields(cls) if f.default is None}
         kw: dict[str, Any] = {}
-        for key in ("preset", "input_dir", "mechanism", "out_dir",
-                    "falsification_action"):
-            if key in data:
-                kw[key] = data.pop(key)
-        for key in ("list_cap", "sample_n", "seed", "min_local_n",
-                    "min_witnesses", "closure_cap", "support_cap"):
-            if key in data:
-                kw[key] = int(data.pop(key))
-        for key in ("bandwidth", "falsification_tol", "falsification_allowance"):
-            if key in data:
-                kw[key] = float(data.pop(key))
-        if "dgp" in data:
-            kw["dgp"] = dict(data.pop("dgp"))
-        if "capacities" in data:
-            kw["capacities"] = tuple(int(q) for q in data.pop("capacities"))
-        if "regimes" in data:
-            kw["regimes"] = tuple(str(r) for r in data.pop("regimes"))
-        if "outcomes" in data:
-            kw["outcomes"] = tuple(data.pop("outcomes"))
+        for key, value in data.items():
+            if value is None and key in unset:
+                continue                  # null leaves an optional key unset
+            try:
+                kw[key] = _READERS[key](value)
+            except (TypeError, ValueError) as exc:
+                raise PipelineError(f"config key {key!r}: {exc}") from None
         if "action" in fals:
-            kw["falsification_action"] = str(fals["action"])
-        if "tol" in fals:
-            kw["falsification_tol"] = float(fals["tol"])
-        if "allowance" in fals:
-            kw["falsification_allowance"] = float(fals["allowance"])
-        if data:
-            raise PipelineError(f"unknown config keys: {sorted(data)}")
-        try:
-            return cls(**kw)
-        except TypeError as exc:
-            raise PipelineError(str(exc)) from None
+            kw["falsification_action"] = fals["action"]
+        return cls(**kw)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
-            "mechanism": self.mechanism,
             "list_cap": self.list_cap,
             "regimes": list(self.regimes),
             "outcomes": list(self.outcomes),
@@ -177,11 +190,7 @@ class RunConfig:
             "min_witnesses": self.min_witnesses,
             "closure_cap": self.closure_cap,
             "support_cap": self.support_cap,
-            "falsification": {
-                "action": self.falsification_action,
-                "tol": self.falsification_tol,
-                "allowance": self.falsification_allowance,
-            },
+            "falsification": {"action": self.falsification_action},
         }
         if self.preset is not None:
             out["preset"] = self.preset
@@ -218,10 +227,6 @@ class RunData:
     warnings: dict[str, Any] = field(default_factory=dict)
 
 
-def _mechanism_run(eco: Economy, mechanism: str):
-    return run_sd(eco) if mechanism == "sd" else run_da(eco)
-
-
 def resolve_source(cfg: RunConfig) -> RunData:
     bandwidth = cfg.bandwidth
     min_local_n = cfg.min_local_n
@@ -248,7 +253,7 @@ def resolve_source(cfg: RunConfig) -> RunData:
         dgp = dict(cfg.dgp)
         dgp.setdefault("seed", cfg.seed)
         eco = generate_economy(DGPConfig.from_dict(dgp))
-        matching = _mechanism_run(eco, cfg.mechanism)
+        matching = run_da(eco)
         eco = observe_outcomes(eco, matching.assignment)
         return RunData(economy=eco, cutoffs=extract_cutoffs(matching, eco),
                        assignment=np.asarray(matching.assignment),
@@ -257,7 +262,7 @@ def resolve_source(cfg: RunConfig) -> RunData:
 
     in_dir = Path(cfg.input_dir or ".")
     eco, ids = io.load_economy(in_dir, cfg.list_cap, cfg.capacities or ())
-    matching = _mechanism_run(eco, cfg.mechanism)
+    matching = run_da(eco)
     warnings: dict[str, Any] = {}
     supplied_path = in_dir / "matching.csv"
     if supplied_path.exists():
@@ -403,8 +408,7 @@ def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
     delta = None
     if status == "ok":
         fals = falsification_test(stats_plus, stats_minus, eco.n_schools,
-                                  pair=jk, tol=cfg.falsification_tol,
-                                  allowance=cfg.falsification_allowance)
+                                  pair=jk)
         identify_block["falsification"] = {
             "passed": fals.passed,
             "infeasible": False,
@@ -490,19 +494,18 @@ def _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
         plus = hm_side_bounds(pair_subpop(obs_plus, jk), delta.delta_plus, g)
         minus = hm_side_bounds(pair_subpop(obs_minus, jk), delta.delta_minus, g)
         eff = effect_bounds(plus, minus)
-        _fill(hm_entry, eff, naive, cfg)
+        _fill(hm_entry, eff, naive)
     try:
         sharp = sharp_bounds_finite(obs_plus, obs_minus, stats_plus,
                                     stats_minus, jk, g,
                                     support_cap=cfg.support_cap)
-        _fill(sharp_entry, sharp, naive, cfg)
+        _fill(sharp_entry, sharp, naive)
     except BoundsError:
         pass          # unbounded support; the hm entry still stands
     return [hm_entry, sharp_entry]
 
 
-def _fill(entry: dict[str, Any], eff, naive: float | None,
-          cfg: RunConfig) -> None:
+def _fill(entry: dict[str, Any], eff, naive: float | None) -> None:
     entry["lower"] = eff.lower
     entry["upper"] = eff.upper
     entry["sign_identified"] = eff.sign_identified

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import OUTSIDE, Economy, EconomyTruth, observe_outcomes
+from .economy import (OUTSIDE, Economy, EconomyTruth,
+                      is_strong_truthful_order, observe_outcomes)
 from .localpref import best_reported
-from .mechanism import CutoffProfile, Matching, extract_cutoffs, run_da, run_sd
+from .mechanism import CutoffProfile, Matching, extract_cutoffs, run_sd
 from .population import LocalType
 
 
@@ -57,8 +58,8 @@ def _full_order(prefix: Sequence[int], n_schools: int) -> tuple[int, ...]:
 
 
 def _finish(name: str, eco: Economy, school: int, fallback: int,
-            bandwidth: float, min_local_n: int, sd: bool = True) -> PresetInstance:
-    matching = run_sd(eco) if sd else run_da(eco)
+            bandwidth: float, min_local_n: int) -> PresetInstance:
+    matching = run_sd(eco)
     cutoffs = extract_cutoffs(matching, eco)
     eco = observe_outcomes(eco, matching.assignment)
     return PresetInstance(name=name, economy=eco, matching=matching,
@@ -312,18 +313,6 @@ def sample_economy(design: MixtureDesign, n: int,
 # random consistent designs for the coverage sweeps
 
 
-def _wpo_ok(report: Sequence[int], order: Sequence[int]) -> bool:
-    acc = []
-    for d in order:
-        if d == OUTSIDE:
-            break
-        acc.append(d)
-    if any(j not in acc for j in report):
-        return False
-    pos = {j: r for r, j in enumerate(order)}
-    return all(pos[a] < pos[b] for a, b in zip(report, report[1:]))
-
-
 def _umas_ok(report: Sequence[int], order: Sequence[int],
              cutoffs: dict[int, float]) -> bool:
     """No listed school may silently dominate an unlisted easier one.
@@ -345,18 +334,11 @@ def _umas_ok(report: Sequence[int], order: Sequence[int],
 
 def _type_consistent(t: MixtureType, design: MixtureDesign) -> bool:
     cutoffs = design.population_cutoffs()
-    n_acc = 0
-    for d in t.order:
-        if d == OUTSIDE:
-            break
-        n_acc += 1
-    want = min(design.list_cap, n_acc)
     for rol in (t.report, t.report_below):
         if rol is None:
             continue
-        if len(rol) != want:               # strong-order length condition
-            return False
-        if not _wpo_ok(rol, t.order) or not _umas_ok(rol, t.order, cutoffs):
+        if not (is_strong_truthful_order(rol, t.order, design.list_cap)
+                and _umas_ok(rol, t.order, cutoffs)):
             return False
     if t.report_below is not None and design.school in t.report_below:
         return False                       # below-side list must drop the school

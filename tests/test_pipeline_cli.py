@@ -6,6 +6,7 @@ import csv
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -61,8 +62,6 @@ def test_config_requires_exactly_one_source():
 def test_config_validation():
     with pytest.raises(PipelineError, match="unknown preset"):
         RunConfig(preset="nope")
-    with pytest.raises(PipelineError, match="mechanism"):
-        RunConfig(preset="golden-sd", mechanism="ttc")
     with pytest.raises(PipelineError, match="regimes"):
         RunConfig(preset="golden-sd", regimes=())
     with pytest.raises(PipelineError):
@@ -79,8 +78,10 @@ def test_config_validation():
 
 def test_from_dict_round_trip():
     cfg = RunConfig(preset="golden-sd", seed=5,
-                    regimes=("wpo", "spo"), falsification_allowance=0.25,
-                    bandwidth=12.0, out_dir="elsewhere")
+                    regimes=("wpo", "spo"), falsification_action="warn",
+                    bandwidth=12.0, outcomes=("identity", {"kind": "table",
+                                                           "table": {"1": 2}}),
+                    out_dir="elsewhere")
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -92,13 +93,60 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_nested_falsification_block():
-    cfg = RunConfig.from_dict({
-        "preset": "golden-sd",
-        "falsification": {"action": "warn", "tol": 1e-6, "allowance": 0.5},
-    })
+    cfg = RunConfig.from_dict({"preset": "golden-sd",
+                               "falsification": {"action": "warn"}})
     assert cfg.falsification_action == "warn"
-    assert cfg.falsification_tol == 1e-6
-    assert cfg.falsification_allowance == 0.5
+    assert cfg.to_dict()["falsification"] == {"action": "warn"}
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"falsification": {"actoin": "warn"}}, "falsification.actoin"),
+    ({"falsification": {"action": "warn", "tol": 1e-9}}, "falsification.tol"),
+    ({"falsification": {"allowance": 0.5}}, "falsification.allowance"),
+    ({"mechanism": "da"}, "mechanism"),
+    ({"falsification_action": "warn"}, "falsification_action"),
+])
+def test_unknown_and_retired_keys_exit_2(tmp_path, capsys, extra, key):
+    cfg = _cfg_file(tmp_path, preset="rigged-wpo", **extra)
+    assert main(["bounds", "--config", str(cfg)]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"preset": "golden-sd", "list_cap": "three"}, "config key 'list_cap'"),
+    ({"preset": "golden-sd", "closure_cap": None}, "config key 'closure_cap'"),
+    ({"preset": "golden-sd", "bandwidth": "wide"}, "config key 'bandwidth'"),
+    ({"input_dir": "x", "capacities": 5}, "config key 'capacities'"),
+    ({"preset": "golden-sd",
+      "outcomes": [{"kind": "indicator", "threshold": "x"}]},
+     "config key 'outcomes': .*'x'"),
+    ({"preset": "golden-sd", "outcomes": [{"kind": "table",
+                                           "table": {"a": 1}}]},
+     "config key 'outcomes': .*'a'"),
+    ({"dgp": {"bogus": 1}}, "config key 'dgp': .*'bogus'"),
+    ({"dgp": {"reporting": {"modle": "truth_topk"}}},
+     "config key 'dgp': .*'modle'"),
+    ({"preset": "golden-sd", "regimes": "wpo"}, "config key 'regimes'"),
+    ({"preset": "golden-sd", "outcomes": "identity"}, "config key 'outcomes'"),
+    ({"preset": 4}, "config key 'preset'"),
+])
+def test_malformed_config_values_exit_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "run.json"
+    dump_json(path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_schema_names_every_accepted_key():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config schema")[1]
+    section = section.split("\n### ")[0]
+    named = re.findall(r"^\| `([a-z_.]+)` \|", section, flags=re.M)
+    nested = RunConfig(preset="golden-sd").to_dict()["falsification"]
+    assert sorted(named) == sorted(
+        [*pipeline._READERS, *(f"falsification.{k}" for k in nested)])
 
 
 # ---------------------------------------------------------------------------
