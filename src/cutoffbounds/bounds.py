@@ -227,8 +227,7 @@ def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
                         stats_plus: ContainmentStats | None,
                         stats_minus: ContainmentStats | None,
                         pair: Pair,
-                        g: OutcomeTransform = IDENTITY,
-                        support_cap: int = 8) -> EffectBounds:
+                        g: OutcomeTransform = IDENTITY) -> EffectBounds:
     """Sharp bounds on the (j, k) outcome jump via a joint mass program.
 
     Variables are masses of (outcome value, true pair) at the cutoff, one
@@ -241,7 +240,7 @@ def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
     """
     if stats_plus is None and stats_minus is None:
         raise BoundsError("no side data at all")
-    support = finite_support(obs_plus or (), obs_minus or (), g, cap=support_cap)
+    support = finite_support(obs_plus or (), obs_minus or (), g)
     atoms: set[Pair] = set()
     for stats in (stats_plus, stats_minus):
         if stats is not None:

@@ -13,8 +13,10 @@ they share a column, never by numeric coincidence.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -179,6 +181,27 @@ def is_strong_truthful_order(report: Sequence[int], pref_order: Sequence[int],
 # data-generating process
 
 
+def _check_numbers(obj: object, prefix: str,
+                   spec: Mapping[str, tuple[type, float | None]]) -> None:
+    """Raise ``EconomyError`` naming the first field of ``obj`` in ``spec``
+    that is not an ``int`` or a finite ``float``, as ``spec`` says, of at
+    least its least value.  A tuple is checked item by item; a field whose
+    default is None may be None."""
+    for name, (kind, least) in spec.items():
+        value = getattr(obj, name)
+        if value is None and getattr(type(obj), name, 0) is None:
+            continue
+        for v in value if isinstance(value, tuple) else (value,):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not (isinstance(v, numbers.Integral) if kind is int
+                            else math.isfinite(v))
+                    or least is not None and v < least):
+                what = "an integer" if kind is int else "a finite number"
+                at_least = "" if least is None else f" >= {least}"
+                raise EconomyError(f"{prefix}{name}: expected {what}"
+                                   f"{at_least}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class OutcomeModel:
     """Potential outcomes ``Y(d) = rank_weight * (pull of d) + effect_d + noise``.
@@ -193,6 +216,11 @@ class OutcomeModel:
     school_effects: tuple[float, ...] | None = None
     noise_sd: float = 0.5
     threshold: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_numbers(self, "outcome.", {
+            "rank_weight": (float, None), "school_effects": (float, None),
+            "noise_sd": (float, 0.0), "threshold": (float, None)})
 
 
 @dataclass(frozen=True)
@@ -219,6 +247,11 @@ class ReportingModel:
     rational_floor: bool = True
     adversarial_school: int | None = None
 
+    def __post_init__(self) -> None:
+        _check_numbers(self, "reporting.", {
+            "noise_sd": (float, 0.0), "margin": (float, None),
+            "adversarial_school": (int, 1)})
+
 
 @dataclass(frozen=True)
 class DGPConfig:
@@ -240,6 +273,21 @@ class DGPConfig:
     reporting: ReportingModel = field(default_factory=ReportingModel)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _check_numbers(self, "", {
+            "n_students": (int, 1), "n_schools": (int, 1),
+            "list_cap": (int, 1), "capacities": (int, 0),
+            "capacity_fracs": (float, 0.0), "score_corr": (float, None),
+            "score_mean": (float, None), "score_sd": (float, 0.0),
+            "quality": (float, None), "taste_sd": (float, None),
+            "outside_strength": (float, None), "max_acceptable": (int, 1),
+            "seed": (int, 0)})
+        for name, kind in (("outcome", OutcomeModel),
+                           ("reporting", ReportingModel)):
+            if not isinstance(getattr(self, name), kind):
+                raise EconomyError(f"{name}: expected an object, got"
+                                   f" {getattr(self, name)!r}")
+
     @staticmethod
     def from_dict(raw: dict) -> "DGPConfig":
         d = dict(raw)
@@ -255,41 +303,6 @@ class DGPConfig:
             d["reporting"] = ReportingModel(**d["reporting"])
         return DGPConfig(**d)
 
-    def to_dict(self) -> dict:
-        out = {
-            "n_students": self.n_students,
-            "n_schools": self.n_schools,
-            "list_cap": self.list_cap,
-            "capacities": list(self.capacities) if self.capacities else None,
-            "capacity_fracs": list(self.capacity_fracs) if self.capacity_fracs else None,
-            "score_mode": self.score_mode,
-            "score_corr": self.score_corr,
-            "score_mean": self.score_mean,
-            "score_sd": self.score_sd,
-            "quality": list(self.quality) if self.quality else None,
-            "taste_sd": self.taste_sd,
-            "outside_strength": self.outside_strength,
-            "max_acceptable": self.max_acceptable,
-            "all_acceptable": self.all_acceptable,
-            "outcome": {
-                "kind": self.outcome.kind,
-                "rank_weight": self.outcome.rank_weight,
-                "school_effects": (list(self.outcome.school_effects)
-                                   if self.outcome.school_effects else None),
-                "noise_sd": self.outcome.noise_sd,
-                "threshold": self.outcome.threshold,
-            },
-            "reporting": {
-                "model": self.reporting.model,
-                "noise_sd": self.reporting.noise_sd,
-                "margin": self.reporting.margin,
-                "rational_floor": self.reporting.rational_floor,
-                "adversarial_school": self.reporting.adversarial_school,
-            },
-            "seed": self.seed,
-        }
-        return out
-
 
 def _unique_scores(col: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Jitter a score column until values are pairwise distinct.
@@ -302,10 +315,7 @@ def _unique_scores(col: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         _, counts = np.unique(col, return_counts=True)
         if counts.max(initial=1) == 1:
             return col
-        dup = counts.max() > 1
         col = col + rng.normal(0.0, 1e-9, size=col.shape)
-        if not dup:
-            break
     raise EconomyError("could not de-tie score column")
 
 
@@ -331,10 +341,6 @@ def generate_economy(cfg: DGPConfig) -> Economy:
     """
     rng = np.random.default_rng(cfg.seed)
     n, J, K = cfg.n_students, cfg.n_schools, cfg.list_cap
-    if n < 1:
-        raise EconomyError("n_students must be >= 1")
-    if not 1 <= K:
-        raise EconomyError("list_cap must be >= 1")
 
     # scores
     if cfg.score_mode == "sd":
@@ -384,8 +390,6 @@ def generate_economy(cfg: DGPConfig) -> Economy:
             order[i, J] = OUTSIDE
     elif cfg.max_acceptable is not None:
         cap = int(cfg.max_acceptable)
-        if cap < 1:
-            raise EconomyError("max_acceptable must be >= 1")
         for i in range(n):
             row = order[i]
             out_pos = int(np.nonzero(row == OUTSIDE)[0][0])

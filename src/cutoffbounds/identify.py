@@ -430,10 +430,8 @@ def _cell_lower_bound(cell: PairSet, stats_plus: ContainmentStats | None,
 def falsification_test(stats_plus: ContainmentStats | None,
                        stats_minus: ContainmentStats | None,
                        n_schools: int,
-                       pair: Pair | None = None,
-                       partitions: Sequence[tuple[str, tuple[PairSet, ...]]] | None = None,
-                       ) -> FalsificationReport:
-    """Sum, over each partition of the pair space, the implied lower bounds.
+                       pair: Pair | None = None) -> FalsificationReport:
+    """Sum, over each of ``default_partitions``, the implied lower bounds.
 
     A sum above ``FALSIFICATION_LIMIT`` (one, up to rounding) means no
     distribution satisfies every containment inequality: the assumed
@@ -442,17 +440,9 @@ def falsification_test(stats_plus: ContainmentStats | None,
     and the rows imply each cell's bound, so the event LP is then
     infeasible too.  The check names the failing partition before any LP.
     """
-    if partitions is None:
-        partitions = default_partitions(stats_plus, stats_minus, n_schools, pair)
     checks = []
-    for name, cells in partitions:
-        covered: set[Pair] = set()
-        for cell in cells:
-            if covered & cell:
-                raise IdentifyError(f"partition {name!r} has overlapping cells")
-            covered |= cell
-        if covered != set(all_pairs(n_schools)):
-            raise IdentifyError(f"partition {name!r} does not cover the pair space")
+    for name, cells in default_partitions(stats_plus, stats_minus, n_schools,
+                                           pair):
         stat = sum(_cell_lower_bound(cell, stats_plus, stats_minus)
                    for cell in cells)
         checks.append(PartitionCheck(name=name, statistic=float(stat),

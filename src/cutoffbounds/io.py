@@ -15,10 +15,13 @@ and raise the same errors.
 
 Scores travel as one column per school even when schools share a column
 internally; reading infers the sharing structure back from exact column
-equality.  All floats are written with round-trip precision, and JSON
-artifacts are normalized (sorted keys, numpy scalars as Python numbers,
-negative zero as zero, non-finite floats as strings, frozensets as sorted
-lists) so reruns with the same inputs produce byte-identical files.
+equality.  Each input file's header is stated once, for its reader and
+its writer.  Every CSV is written by ``write_csv``: rows carry Python
+floats (``.tolist()``), which ``csv`` writes as their ``repr``, with
+round-trip precision, and None as an empty field.  JSON artifacts are
+normalized (sorted keys, numpy scalars as Python numbers, negative zero as
+zero, non-finite floats as strings, frozensets as sorted lists) so reruns
+with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import warnings
 from io import StringIO
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,10 +41,6 @@ from .economy import Economy, EconomyError, EconomyTruth, validate_report
 
 class IngestError(ValueError):
     """Malformed input file; message carries file and row context."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -59,6 +58,30 @@ def _parse_int(text: str, where: str) -> int:
 
 
 _CHECKED = {int: _parse_int, float: _parse_float}
+
+_ROLS_HEADER = ("id", "rank", "school_id")
+_OUTCOMES_HEADER = ("id", "y_observed")
+_MATCHING_HEADER = ("id", "assigned_school")
+_CUTOFFS_HEADER = ("school_id", "cutoff")
+
+
+def _students_header(n_schools: int) -> list[str]:
+    return ["id"] + [f"s_{j}" for j in range(1, n_schools + 1)]
+
+
+def _truth_header(n_schools: int) -> list[str]:
+    J = n_schools
+    return (["id"] + [f"q_{r}" for r in range(1, J + 2)]
+            + [f"y_{d}" for d in range(J + 1)])
+
+
+def write_csv(path: Path, header: Sequence[str],
+              rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``header`` and then ``rows``, as they come, to ``path``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _split_header(path: Path) -> tuple[list[str] | None, str]:
@@ -190,13 +213,9 @@ def _check_students(path: Path, found: Mapping[int, Any],
 
 
 def write_students(path: Path, eco: Economy) -> None:
-    cols = [f"s_{j}" for j in range(1, eco.n_schools + 1)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + cols)
-        for i in range(eco.n_students):
-            writer.writerow([i] + [_fmt(eco.score(i, j))
-                                   for j in range(1, eco.n_schools + 1)])
+    scores = eco.score_cols[:, list(eco.score_groups)]
+    write_csv(path, _students_header(eco.n_schools),
+              ([i] + row.tolist() for i, row in enumerate(scores)))
 
 
 def read_students(path: Path) -> tuple[list[int], np.ndarray]:
@@ -206,7 +225,7 @@ def read_students(path: Path) -> tuple[list[int], np.ndarray]:
         raise IngestError(f"{path.name}: empty file")
     if not head or head[0] != "id" or len(head) < 2:
         raise IngestError(f"{path.name}: header must be id,s_1..s_J")
-    want = [f"s_{j}" for j in range(1, len(head))]
+    want = _students_header(len(head) - 1)[1:]
     if head[1:] != want:
         raise IngestError(f"{path.name}: score columns must be {want}")
     cols = _load_body(body, len(head), 1, every_line=True)
@@ -254,12 +273,9 @@ def infer_score_groups(per_school: np.ndarray) -> tuple[tuple[int, ...], np.ndar
 def write_rols(path: Path, eco: Economy) -> None:
     if eco.reports is None:
         raise EconomyError("economy has no submitted lists")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "rank", "school_id"])
-        for i, rol in enumerate(eco.reports):
-            for rank, j in enumerate(rol, start=1):
-                writer.writerow([i, rank, j])
+    write_csv(path, _ROLS_HEADER,
+              ((i, rank, j) for i, rol in enumerate(eco.reports)
+               for rank, j in enumerate(rol, start=1)))
 
 
 def read_rols(path: Path, ids: Sequence[int],
@@ -270,7 +286,7 @@ def read_rols(path: Path, ids: Sequence[int],
     once; only when a check fails are the rows read one by one, which
     finds the failing row or student and names it.
     """
-    body = _table_body(path, ["id", "rank", "school_id"])
+    body = _table_body(path, _ROLS_HEADER)
     cols = _load_body(body, 3, 3)
     reports = None if cols is None else _rols_by_columns(
         cols[0], ids, n_schools, list_cap)
@@ -352,15 +368,11 @@ def _rols_by_rows(path, rows, ids, n_schools, list_cap):
 def write_outcomes(path: Path, eco: Economy) -> None:
     if eco.y_observed is None:
         raise EconomyError("economy has no observed outcomes")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "y_observed"])
-        for i in range(eco.n_students):
-            writer.writerow([i, _fmt(eco.y_observed[i])])
+    write_csv(path, _OUTCOMES_HEADER, enumerate(eco.y_observed.tolist()))
 
 
 def read_outcomes(path: Path, ids: Sequence[int]) -> np.ndarray:
-    seen = _read_keyed(path, ["id", "y_observed"], float,
+    seen = _read_keyed(path, _OUTCOMES_HEADER, float,
                        "duplicate outcome for student {}")
     _check_students(path, seen, ids, "no outcome for students")
     return np.array([seen[sid] for sid in ids])
@@ -369,22 +381,15 @@ def read_outcomes(path: Path, ids: Sequence[int]) -> np.ndarray:
 def write_truth(path: Path, eco: Economy) -> None:
     if eco.truth is None:
         raise EconomyError("economy has no ground truth")
-    J = eco.n_schools
-    head = (["id"] + [f"q_{r}" for r in range(1, J + 2)]
-            + [f"y_{d}" for d in range(J + 1)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        for i in range(eco.n_students):
-            order = [int(d) for d in eco.truth.pref_orders[i]]
-            pot = [_fmt(v) for v in eco.truth.potential[i]]
-            writer.writerow([i] + order + pot)
+    rows = zip(eco.truth.pref_orders, eco.truth.potential)
+    write_csv(path, _truth_header(eco.n_schools),
+              ([i] + order.tolist() + pot.tolist()
+               for i, (order, pot) in enumerate(rows)))
 
 
 def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
     J = n_schools
-    head = (["id"] + [f"q_{r}" for r in range(1, J + 2)]
-            + [f"y_{d}" for d in range(J + 1)])
+    head = _truth_header(J)
     body = _table_body(path, head)
     cols = _load_body(body, len(head), J + 2)
     if cols is not None:
@@ -416,30 +421,24 @@ def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
 def write_matching(path: Path, assignment: Sequence[int],
                    ids: Sequence[int]) -> None:
     """One row per student: its id, from ``ids``, and its assigned school."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "assigned_school"])
-        for i, j in zip(ids, assignment):
-            writer.writerow([i, int(j)])
+    write_csv(path, _MATCHING_HEADER,
+              zip(ids, np.asarray(assignment).tolist()))
 
 
 def read_matching(path: Path, ids: Sequence[int]) -> np.ndarray:
-    seen = _read_keyed(path, ["id", "assigned_school"], int,
+    seen = _read_keyed(path, _MATCHING_HEADER, int,
                        "duplicate assignment for {}")
     _check_students(path, seen, ids, "no assignment for students")
     return np.array([seen[sid] for sid in ids])
 
 
 def write_cutoffs(path: Path, values: Mapping[int, float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["school_id", "cutoff"])
-        for j in sorted(values):
-            writer.writerow([j, _fmt(values[j])])
+    write_csv(path, _CUTOFFS_HEADER,
+              ((j, float(values[j])) for j in sorted(values)))
 
 
 def read_cutoffs(path: Path) -> dict[int, float]:
-    return _read_keyed(path, ["school_id", "cutoff"], float,
+    return _read_keyed(path, _CUTOFFS_HEADER, float,
                        "duplicate school {}")
 
 

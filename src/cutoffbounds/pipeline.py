@@ -14,7 +14,6 @@ across reruns.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import time
@@ -105,7 +104,7 @@ _READERS = {
     "capacities": _listed(int), "list_cap": int, "sample_n": int,
     "bandwidth": float, "min_local_n": int, "regimes": _listed(_text),
     "outcomes": _listed(_outcome), "seed": int, "out_dir": _text,
-    "min_witnesses": int, "closure_cap": int, "support_cap": int,
+    "closure_cap": int,
 }
 
 
@@ -125,9 +124,7 @@ class RunConfig:
     outcomes: tuple[Any, ...] = ("identity",)
     seed: int = 0
     out_dir: str = "out"
-    min_witnesses: int = 1
     closure_cap: int = 4096
-    support_cap: int = 8
     falsification_action: str = "error"
 
     def __post_init__(self) -> None:
@@ -150,8 +147,12 @@ class RunConfig:
             raise PipelineError("outcomes must be nonempty")
         for spec in self.outcomes:
             parse_outcome(spec)
-        if self.bandwidth is not None and self.bandwidth <= 0:
+        if self.bandwidth is not None and not self.bandwidth > 0:
             raise PipelineError("bandwidth must be positive")
+        if self.sample_n < 1:
+            raise PipelineError("sample_n must be >= 1")
+        if self.seed < 0:
+            raise PipelineError("seed must be >= 0")
         if self.falsification_action not in ("error", "warn"):
             raise PipelineError("falsification action must be 'error' or 'warn'")
         if self.input_dir is not None and self.capacities is None:
@@ -187,9 +188,7 @@ class RunConfig:
             "outcomes": list(self.outcomes),
             "seed": self.seed,
             "out_dir": self.out_dir,
-            "min_witnesses": self.min_witnesses,
             "closure_cap": self.closure_cap,
-            "support_cap": self.support_cap,
             "falsification": {"action": self.falsification_action},
         }
         if self.preset is not None:
@@ -327,8 +326,6 @@ class ComboResult:
     pair: tuple[int, int]
     regime: str
     status: str
-    n_plus: int
-    n_minus: int
     identify: dict[str, Any]
     entries: list[dict[str, Any]]
     reason: str | None = None
@@ -369,7 +366,7 @@ def _analyze_pairs(eco: Economy, pairs: Sequence[ComparablePair],
                    qsets: Mapping[tuple[int, str], WindowQsets],
                    regimes: Sequence[Regime],
                    outcomes: Sequence[OutcomeTransform],
-                   cfg: RunConfig) -> list[ComboResult]:
+                   closure_cap: int) -> list[ComboResult]:
     """Every (pair, regime) combination, pair-major.
 
     Pairs arrive grouped by school; each school's window is built once per
@@ -383,16 +380,16 @@ def _analyze_pairs(eco: Economy, pairs: Sequence[ComparablePair],
         for regime in regimes:
             window = _build_window(eco, samples[school],
                                    qsets[school, regime.label],
-                                   cfg.closure_cap)
-            by_regime.append([analyze_combo(eco, p, regime, window, outcomes,
-                                            cfg) for p in group])
+                                   closure_cap)
+            by_regime.append([analyze_combo(eco, p, regime, window, outcomes)
+                              for p in group])
         results.extend(r for per_pair in zip(*by_regime) for r in per_pair)
     return results
 
 
 def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
-                  window: _Window, outcomes: Sequence[OutcomeTransform],
-                  cfg: RunConfig) -> ComboResult:
+                  window: _Window,
+                  outcomes: Sequence[OutcomeTransform]) -> ComboResult:
     jk = _pair_key(pair)
     obs_plus, obs_minus = window.obs_plus, window.obs_minus
     stats_plus, stats_minus = window.stats_plus, window.stats_minus
@@ -448,9 +445,8 @@ def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
     for g in outcomes:
         entries.extend(
             _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
-                            stats_plus, stats_minus, pair, cfg))
+                            stats_plus, stats_minus, pair))
     return ComboResult(pair=jk, regime=regime.label, status=status,
-                       n_plus=pair.n_plus, n_minus=pair.n_minus,
                        identify=identify_block, entries=entries,
                        reason=window.reason)
 
@@ -474,7 +470,7 @@ def _base_entry(jk, regime, g, pair, delta) -> dict[str, Any]:
 
 
 def _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
-                    stats_plus, stats_minus, pair, cfg) -> list[dict[str, Any]]:
+                    stats_plus, stats_minus, pair) -> list[dict[str, Any]]:
     hm_entry = _base_entry(jk, regime, g, pair, delta)
     hm_entry["method"] = "hm"
     sharp_entry = _base_entry(jk, regime, g, pair, delta)
@@ -497,8 +493,7 @@ def _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
         _fill(hm_entry, eff, naive)
     try:
         sharp = sharp_bounds_finite(obs_plus, obs_minus, stats_plus,
-                                    stats_minus, jk, g,
-                                    support_cap=cfg.support_cap)
+                                    stats_minus, jk, g)
         _fill(sharp_entry, sharp, naive)
     except BoundsError:
         pass          # unbounded support; the hm entry still stands
@@ -560,12 +555,10 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
     t = time.perf_counter()
     samples = local_samples(eco, data.cutoffs, data.bandwidth)
     pairs = comparable_pairs(samples.values(), data.min_local_n)
-    with open(out_dir / "pairs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["school", "fallback", "n_local", "n_plus", "n_minus"])
-        for p in pairs:
-            writer.writerow([p.school, p.fallback, p.n_local,
-                             p.n_plus, p.n_minus])
+    io.write_csv(out_dir / "pairs.csv",
+                 ["school", "fallback", "n_local", "n_plus", "n_minus"],
+                 ((p.school, p.fallback, p.n_local, p.n_plus, p.n_minus)
+                  for p in pairs))
     manifest["pairs"] = [list(_pair_key(p)) for p in pairs]
     timings["pairs"] = time.perf_counter() - t
     if depth < 3:
@@ -574,8 +567,7 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
 
     regimes = [regime_from_label(lab) for lab in cfg.regimes]
     need_umas = any(r.umas for r in regimes)
-    umas = (detect_umas(eco, data.cutoffs, min_witnesses=cfg.min_witnesses)
-            if need_umas else EMPTY_UMAS)
+    umas = detect_umas(eco, data.cutoffs) if need_umas else EMPTY_UMAS
 
     t = time.perf_counter()
     qsets = {(j, regime.label): window_qsets(eco, data.cutoffs, samples[j],
@@ -595,7 +587,7 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
     t = time.perf_counter()
     outcomes = tuple(parse_outcome(s) for s in cfg.outcomes)
     results = _analyze_pairs(eco, pairs, samples, qsets, regimes, outcomes,
-                             cfg)
+                             cfg.closure_cap)
     timings["analyze"] = time.perf_counter() - t
 
     identify_doc = [r.identify for r in results]
@@ -634,15 +626,16 @@ def _finish_run(out_dir: Path, manifest: dict[str, Any],
 def _write_qsets_csv(out_dir: Path, samples: Mapping[int, LocalSample],
                      qsets: Mapping[tuple[int, str], WindowQsets],
                      student_ids: Sequence[int]) -> None:
-    with open(out_dir / "qsets.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["school", "regime", "student_id", "side", "qset"])
+    def rows():
         for (j, label), (plus, minus) in qsets.items():
             text = {q: _serialize_qset(q) for q in {*plus, *minus}}
             for side, ids, sets in (("plus", samples[j].plus_ids, plus),
                                     ("minus", samples[j].minus_ids, minus)):
-                writer.writerows([j, label, student_ids[i], side, text[q]]
-                                 for i, q in zip(ids, sets))
+                for i, q in zip(ids, sets):
+                    yield j, label, student_ids[i], side, text[q]
+
+    io.write_csv(out_dir / "qsets.csv",
+                 ["school", "regime", "student_id", "side", "qset"], rows())
 
 
 # ---------------------------------------------------------------------------
@@ -671,28 +664,17 @@ def write_report(out_dir: Path) -> dict[str, Any]:
         if e.get("naive_outside_bounds"):
             reg["naive_out"].add(key)
 
-    with open(out_dir / "report_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["regime", "n_pairs", "n_sign_identified",
-                         "n_naive_outside_bounds"])
-        for reg in sorted(by_regime):
-            row = by_regime[reg]
-            writer.writerow([reg, len(row["pairs"]), len(row["sign"]),
-                             len(row["naive_out"])])
-
-    with open(out_dir / "report_pairs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["school", "fallback", "regime", "outcome", "method",
-                         "lower", "upper", "naive_point"])
-        for e in entries:
-            if e["method"] is None:
-                continue
-            writer.writerow([
-                e["pair"][0], e["pair"][1], e["regime"], e["outcome"],
-                e["method"],
-                "" if e["lower"] is None else repr(float(e["lower"])),
-                "" if e["upper"] is None else repr(float(e["upper"])),
-                "" if e["naive_point"] is None else repr(float(e["naive_point"])),
-            ])
+    io.write_csv(out_dir / "report_summary.csv",
+                 ["regime", "n_pairs", "n_sign_identified",
+                  "n_naive_outside_bounds"],
+                 ((reg, len(row["pairs"]), len(row["sign"]),
+                   len(row["naive_out"]))
+                  for reg, row in sorted(by_regime.items())))
+    io.write_csv(out_dir / "report_pairs.csv",
+                 ["school", "fallback", "regime", "outcome", "method",
+                  "lower", "upper", "naive_point"],
+                 ((e["pair"][0], e["pair"][1], e["regime"], e["outcome"],
+                   e["method"], e["lower"], e["upper"], e["naive_point"])
+                  for e in entries if e["method"] is not None))
     return {"regimes": sorted(by_regime),
             "n_entries": len(entries)}

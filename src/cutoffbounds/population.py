@@ -31,8 +31,8 @@ class LocalType:
     """One mass point of the local population on one side of a cutoff.
 
     ``outcomes`` maps every school the type can end up attending to the
-    outcome mean there.  With ``binary=True`` in the builders the mean is a
-    success probability and the type splits into exact 0/1 atoms.
+    success probability of a binary outcome there; ``build_local_obs``
+    splits the type into exact 0/1 atoms.
     """
 
     mass: float
@@ -97,9 +97,11 @@ def _mean_outcome(t: LocalType, school: int) -> float:
 def build_local_obs(types: Sequence[LocalType], side: str,
                     cutoff_values: Mapping[int, float], school: int,
                     list_cap: int, regime: Regime,
-                    umas: UmasRelation | None = None,
-                    binary: bool = True) -> list[LocalObs]:
-    """Weighted local records for one side of the cutoff."""
+                    umas: UmasRelation | None = None) -> list[LocalObs]:
+    """Weighted local records for one side of the cutoff: per type, one
+    record with outcome 1 weighted by the type's mass times its success
+    probability at the school it attends, and one with outcome 0 for the
+    rest of its mass (a record of zero weight is left out)."""
     if side not in ("plus", "minus"):
         raise PopulationError(f"side must be 'plus' or 'minus', got {side!r}")
     above = side == "plus"
@@ -114,16 +116,12 @@ def build_local_obs(types: Sequence[LocalType], side: str,
         rep_pair = (best_reported(t.report, above_b),
                     best_reported(t.report, below_b))
         mean = _mean_outcome(t, _attended(t, realized))
-        if binary:
-            if not 0.0 <= mean <= 1.0:
-                raise PopulationError("success probability outside [0, 1]")
-            for y, w in ((1.0, t.mass * mean), (0.0, t.mass * (1.0 - mean))):
-                if w > 0.0:
-                    out.append(LocalObs(qset=qset, y=y, weight=w,
-                                        reported_pair=rep_pair))
-        else:
-            out.append(LocalObs(qset=qset, y=mean, weight=t.mass,
-                                reported_pair=rep_pair))
+        if not 0.0 <= mean <= 1.0:
+            raise PopulationError("success probability outside [0, 1]")
+        for y, w in ((1.0, t.mass * mean), (0.0, t.mass * (1.0 - mean))):
+            if w > 0.0:
+                out.append(LocalObs(qset=qset, y=y, weight=w,
+                                    reported_pair=rep_pair))
     return out
 
 

@@ -23,7 +23,7 @@ from .economy import (OUTSIDE, Economy, EconomyTruth,
                       is_strong_truthful_order, observe_outcomes)
 from .localpref import best_reported
 from .mechanism import CutoffProfile, Matching, extract_cutoffs, run_sd
-from .population import LocalType
+from .population import LocalType, umas_from_cutoffs
 
 
 class PresetError(ValueError):
@@ -323,13 +323,9 @@ def _umas_ok(report: Sequence[int], order: Sequence[int],
     """
     listed = set(report)
     pos = {j: r for r, j in enumerate(order)}
-    for d in listed:
-        for e, ce in cutoffs.items():
-            if e in listed or e == OUTSIDE:
-                continue
-            if cutoffs[d] > ce and pos.get(e, len(pos)) < pos[d]:
-                return False
-    return True
+    return not any(d in listed and e not in listed
+                   and pos.get(e, len(pos)) < pos[d]
+                   for d, e in umas_from_cutoffs(cutoffs).pairs)
 
 
 def _type_consistent(t: MixtureType, design: MixtureDesign) -> bool:

@@ -101,18 +101,14 @@ class UmasRelation:
 EMPTY_UMAS = UmasRelation(pairs=frozenset(), fingerprint=())
 
 
-def detect_umas(eco: Economy, cutoffs: CutoffProfile,
-                min_witnesses: int = 1) -> UmasRelation:
+def detect_umas(eco: Economy, cutoffs: CutoffProfile) -> UmasRelation:
     """Scan the economy for uniformly-more-accessible school pairs.
 
     (d, e) qualifies when every student who clears d's cutoff also clears
-    e's, and at least ``min_witnesses`` students clear e but not d.  The
-    witness requirement is a finite-sample stand-in for the relation being
-    non-trivial; it also rules out mutual containment (equal access sets
-    have no witnesses in either direction).
+    e's, and some student clears e but not d.  That witness keeps the
+    relation non-trivial and rules out mutual containment (equal access
+    sets have no witness in either direction).
     """
-    if min_witnesses < 1:
-        raise QsetError("min_witnesses must be >= 1")
     J = eco.n_schools
     access = np.empty((eco.n_students, J), dtype=bool)
     for j in range(1, J + 1):
@@ -125,7 +121,7 @@ def detect_umas(eco: Economy, cutoffs: CutoffProfile,
             ad, ae = access[:, d - 1], access[:, e - 1]
             if (ad & ~ae).any():
                 continue                      # containment fails
-            if int((ae & ~ad).sum()) >= min_witnesses:
+            if (ae & ~ad).any():
                 pairs.add((d, e))
     return UmasRelation(pairs=frozenset(pairs),
                         fingerprint=cutoffs.fingerprint())

@@ -188,10 +188,14 @@ def test_smallest_economy_works():
 
 
 def test_config_round_trip():
-    cfg = DGPConfig(
+    raw = {"n_students": 123, "n_schools": 3, "capacities": [5, 6, 7],
+           "score_mode": "correlated", "score_corr": 0.3,
+           "outcome": {"kind": "binary", "school_effects": [0.0, 0.1, 0.2]},
+           "reporting": {"model": "belief_skip", "noise_sd": 12.0},
+           "seed": 77}
+    assert DGPConfig.from_dict(raw) == DGPConfig(
         n_students=123, n_schools=3, capacities=(5, 6, 7),
         score_mode="correlated", score_corr=0.3,
         outcome=OutcomeModel(kind="binary", school_effects=(0.0, 0.1, 0.2)),
         reporting=ReportingModel(model="belief_skip", noise_sd=12.0),
         seed=77)
-    assert DGPConfig.from_dict(cfg.to_dict()) == cfg

@@ -259,17 +259,6 @@ def test_falsification_catches_the_rigged_instance(rigged):
         assert by_name["pair-4-2"].passed        # the pair cut alone is fine
 
 
-def test_partition_validation():
-    stats = containment_stats([_obs({(1, 0)})], "plus")
-    overlap = [("bad", (frozenset({(1, 0), (0, 0)}), frozenset({(1, 0),
-                                                                (1, 1)})))]
-    with pytest.raises(IdentifyError):
-        falsification_test(stats, None, 1, partitions=overlap)
-    partial = [("bad", (frozenset({(1, 0)}),))]
-    with pytest.raises(IdentifyError):
-        falsification_test(stats, None, 1, partitions=partial)
-
-
 def test_default_partitions_cover_and_name(golden):
     plus, _ = golden_stats(golden)
     stats = containment_stats(plus, "plus")

@@ -105,6 +105,8 @@ def test_nested_falsification_block():
     ({"falsification": {"allowance": 0.5}}, "falsification.allowance"),
     ({"mechanism": "da"}, "mechanism"),
     ({"falsification_action": "warn"}, "falsification_action"),
+    ({"support_cap": 8}, "support_cap"),
+    ({"min_witnesses": 1}, "min_witnesses"),
 ])
 def test_unknown_and_retired_keys_exit_2(tmp_path, capsys, extra, key):
     cfg = _cfg_file(tmp_path, preset="rigged-wpo", **extra)
@@ -139,6 +141,31 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, payload, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"preset": "strategic-showcase", "sample_n": -5}, "sample_n"),
+    ({"preset": "strategic-showcase", "seed": -1, "sample_n": 2000}, "seed"),
+    ({"dgp": {"n_students": 200}, "seed": -1}, "seed"),
+    ({"dgp": {"n_students": "many"}}, "config key 'dgp': n_students"),
+    ({"dgp": {"n_students": 2.5}}, "config key 'dgp': n_students"),
+    ({"dgp": {"n_students": 200, "seed": "x"}}, "config key 'dgp': seed"),
+    ({"dgp": {"n_students": 200, "n_schools": 0}},
+     "config key 'dgp': n_schools"),
+    ({"dgp": {"n_students": 200, "reporting": "x"}},
+     "config key 'dgp': reporting"),
+    ({"dgp": {"n_students": 200, "outcome": "binary"}},
+     "config key 'dgp': outcome"),
+    ({"dgp": {"n_students": 200, "score_sd": -5}},
+     "config key 'dgp': score_sd"),
+    ({"preset": "golden-sd", "bandwidth": "nan"}, "bandwidth"),
+])
+def test_unusable_config_values_exit_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "run.json"
+    dump_json(path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_schema_names_every_accepted_key():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("### Config schema")[1]
@@ -147,6 +174,17 @@ def test_readme_config_schema_names_every_accepted_key():
     nested = RunConfig(preset="golden-sd").to_dict()["falsification"]
     assert sorted(named) == sorted(
         [*pipeline._READERS, *(f"falsification.{k}" for k in nested)])
+
+
+def test_readme_library_example_prints_its_comment_lines(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library use")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    want = [line[2:] for line in code.splitlines()
+            if line.startswith(("# HM ", "# sharp "))]
+    assert len(want) == 2
+    assert capsys.readouterr().out.splitlines() == want
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +401,7 @@ def test_pairs_at_one_school_share_its_window(tmp_path, monkeypatch):
     # every block equals a recomputation for its pair alone
     data = resolve_source(cfg)
     eco, cuts = data.economy, data.cutoffs
-    umas = detect_umas(eco, cuts, min_witnesses=cfg.min_witnesses)
+    umas = detect_umas(eco, cuts)
     blocks = json.loads((tmp_path / "identify.json").read_text())
     assert len(blocks) == len(manifest["pairs"]) * len(cfg.regimes)
     shared_bounds = 0

@@ -72,13 +72,6 @@ def test_binary_types_split_into_atoms():
     assert [(o.y, o.weight) for o in obs] == [(1.0, 0.5)]
 
 
-def test_mean_outcome_mode():
-    t = LocalType(mass=1.0, report=(2,), order=(2, 0, 1, 3, 4),
-                  outcomes={2: 0.35})
-    obs = build_local_obs([t], "plus", CUTS, 2, 3, REGIMES[0], binary=False)
-    assert [(o.y, o.weight) for o in obs] == [(0.35, 1.0)]
-
-
 def test_missing_outcome_is_an_error():
     t = LocalType(mass=1.0, report=(4, 2), order=(4, 2, 0, 1, 3),
                   outcomes={4: 0.5})

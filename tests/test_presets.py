@@ -13,6 +13,7 @@ from cutoffbounds.presets import (
     MixtureType,
     PresetError,
     _hundredths,
+    _type_consistent,
     anchored_mixture_design,
     random_mixture_design,
     sample_economy,
@@ -98,6 +99,24 @@ def test_design_validation():
         MixtureDesign(name="bad-target", n_schools=3, list_cap=2,
                       cutoff_targets=(None, None, None), types=(t,),
                       school=1, fallback=2)
+
+
+def test_type_listing_a_harder_school_over_a_preferred_easier_one_is_rejected():
+    # school 1 (cutoff 500) is harder to enter than school 2 (cutoff 300):
+    # listing 1 but not 2 reveals 1 is preferred, so an order putting 2
+    # first is inconsistent even though the list is strong-truthful
+    def design(order):
+        t = MixtureType(mass=1.0, order=order, report=(1,),
+                        probs=(0.1, 0.5, 0.5, 0.5))
+        return t, MixtureDesign(name="umas", n_schools=3, list_cap=1,
+                                cutoff_targets=(500.0, 300.0, None),
+                                types=(t,), school=1, fallback=2)
+
+    t, prefers_easier = design((2, 1, 0, 3))
+    assert is_strong_truthful_order(t.report, t.order, 1)
+    assert not _type_consistent(t, prefers_easier)
+    t, prefers_listed = design((1, 2, 0, 3))
+    assert _type_consistent(t, prefers_listed)
 
 
 def test_population_cutoffs_floor_for_untargeted(showcase):
