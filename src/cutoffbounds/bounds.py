@@ -12,6 +12,7 @@ masses (finite outcome support).  The naive contrast conditions on the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .identify import (ContainmentStats, LocalObs, _lp_interval,
                        containment_rows, cover_matrix, set_weights,
-                       total_weight)
+                       support_atoms)
 from .qsets import Pair
 
 
@@ -68,18 +69,18 @@ def pair_subpop(obs: Sequence[LocalObs], pair: Pair) -> list[LocalObs]:
 
 def _values_weights(obs: Sequence[LocalObs],
                     g: OutcomeTransform) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct transformed outcomes and their summed weights, so that
+    records split or merged at one value read the same."""
     if not obs:
         raise BoundsError("empty subgroup")
-    v = np.array([g(o.y) for o in obs], dtype=float)
-    w = np.array([o.weight for o in obs], dtype=float)
-    if (w < 0).any() or w.sum() <= 0:
+    weights: Counter[float] = Counter()
+    for o in obs:
+        weights[g(o.y)] += o.weight
+    v = np.array(list(weights), dtype=float)
+    w = np.array(list(weights.values()), dtype=float)
+    if any(o.weight < 0 for o in obs) or w.sum() <= 0:
         raise BoundsError("weights must be non-negative with positive total")
     return v, w
-
-
-def is_binary(obs: Sequence[LocalObs], g: OutcomeTransform) -> bool:
-    v, _ = _values_weights(obs, g)
-    return bool(np.isin(v, (0.0, 1.0)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,6 @@ class SideBounds:
 
     lower: float
     upper: float
-    n_obs: int
     delta_bar: float
     method: str
 
@@ -138,7 +138,7 @@ def trimming_bounds_continuous(obs: Sequence[LocalObs], delta_bar: float,
     v, w = _values_weights(obs, g)
     lo = _tail_mean(v, w, delta_bar, lowest=True)
     hi = _tail_mean(v, w, delta_bar, lowest=False)
-    return SideBounds(lower=float(lo), upper=float(hi), n_obs=len(obs),
+    return SideBounds(lower=float(lo), upper=float(hi),
                       delta_bar=float(delta_bar), method="trim")
 
 
@@ -158,14 +158,14 @@ def binary_bounds(obs: Sequence[LocalObs], delta_bar: float,
     p1 = float((v * w).sum() / w.sum())
     lower = max(1.0 - (1.0 - p1) / delta_bar, 0.0)
     upper = min(p1 / delta_bar, 1.0)
-    return SideBounds(lower=float(lower), upper=float(upper), n_obs=len(obs),
+    return SideBounds(lower=float(lower), upper=float(upper),
                       delta_bar=float(delta_bar), method="binary")
 
 
 def hm_side_bounds(obs: Sequence[LocalObs], delta_bar: float,
                    g: OutcomeTransform = IDENTITY) -> SideBounds:
     """Binary formulas when the transformed outcome is {0,1}, else trimming."""
-    if is_binary(obs, g):
+    if all(g(o.y) in (0.0, 1.0) for o in obs):
         return binary_bounds(obs, delta_bar, g)
     return trimming_bounds_continuous(obs, delta_bar, g)
 
@@ -241,16 +241,11 @@ def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
     if stats_plus is None and stats_minus is None:
         raise BoundsError("no side data at all")
     support = finite_support(obs_plus or (), obs_minus or (), g)
-    atoms: set[Pair] = set()
-    for stats in (stats_plus, stats_minus):
-        if stats is not None:
-            for a in stats.family.members:
-                atoms |= a
-    atoms_t = tuple(sorted(atoms))
-    if pair not in atoms:
+    a_idx = {p: k for k, p in enumerate(support_atoms(stats_plus,
+                                                      stats_minus))}
+    if pair not in a_idx:
         raise BoundsError(f"pair {pair} has no support mass")
-    n_a, n_y = len(atoms_t), len(support)
-    a_idx = {p: k for k, p in enumerate(atoms_t)}
+    n_a, n_y = len(a_idx), len(support)
     y_idx = {y: k for k, y in enumerate(support)}
 
     # variable layout: u[atom, y] | v[atom, y] | residual | t
@@ -269,12 +264,11 @@ def sharp_bounds_finite(obs_plus: Sequence[LocalObs] | None,
                               (stats_minus, obs_minus, vi)):
         if stats is None:
             continue
-        tot = total_weight(obs)
         by_value: dict[float, list[LocalObs]] = {}
         for o in obs:
             by_value.setdefault(g(o.y), []).append(o)
         for y, sel in by_value.items():
-            shares = containment_rows(set_weights(sel), tot,
+            shares = containment_rows(set_weights(sel), stats.total,
                                       stats.family.closure)
             sets = [b for b, s in shares.items() if s > 0.0]
             column = {p: block(k, y_idx[y]) for p, k in a_idx.items()}

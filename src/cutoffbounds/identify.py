@@ -21,6 +21,7 @@ value.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -54,17 +55,29 @@ class InfeasiblePolytopeError(FalsificationSignal):
 
 @dataclass(frozen=True)
 class LocalObs:
-    """One observation near a cutoff: candidate set, outcome, weight.
+    """One distinct (candidate set, outcome, reported pair) near a cutoff,
+    weighted by the students (1 each) or exact population mass sharing it.
 
-    Weights let the same code run on raw students (weight 1 each) and on
-    exact population mixtures (weights sum to the side mass).  The reported
-    pair feeds the naive contrast.
+    ``distinct_obs`` builds the records of cohorts and of populations alike.
+    The reported pair feeds the naive contrast.
     """
 
     qset: PairSet
     y: float
     weight: float = 1.0
     reported_pair: Pair | None = None
+
+
+def distinct_obs(records: Iterable[tuple[PairSet, float, float, Pair | None]]
+                 ) -> list[LocalObs]:
+    """One record per distinct (qset, y, reported_pair) of ``(qset, y,
+    weight, reported_pair)`` tuples, weights summed, in first-seen order;
+    a record of zero weight is left out."""
+    weights: Counter[tuple[PairSet, float, Pair | None]] = Counter()
+    for q, y, w, rep in records:
+        weights[q, y, rep] += w
+    return [LocalObs(qset=q, y=y, weight=w, reported_pair=rep)
+            for (q, y, rep), w in weights.items() if w > 0.0]
 
 
 def total_weight(obs: Sequence[LocalObs]) -> float:
@@ -90,14 +103,14 @@ def collect_local_obs(eco, cutoffs, sample: LocalSample, regime: Regime,
 
 def local_obs(eco, sample: LocalSample,
               qsets: WindowQsets) -> tuple[list[LocalObs], list[LocalObs]]:
-    """Window students as local records, given their candidate sets as
-    ``qsets.window_qsets`` returns them."""
+    """Window students as records of weight 1, one list per side, given
+    their candidate sets as ``qsets.window_qsets`` returns them."""
     if eco.y_observed is None:
         raise IdentifyError("economy has no observed outcomes")
     ys = eco.y_observed[list(sample.ids)].astype(float).tolist()
-    obs = [LocalObs(qset=q, y=y, reported_pair=rep)
-           for q, y, rep in zip(itertools.chain(*qsets), ys, sample.reported)]
-    return obs[:sample.n_plus], obs[sample.n_plus:]
+    n, reps, one = sample.n_plus, sample.reported, itertools.repeat(1.0)
+    return (distinct_obs(zip(qsets[0], ys[:n], one, reps[:n])),
+            distinct_obs(zip(qsets[1], ys[n:], one, reps[n:])))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +159,6 @@ class SupportFamily:
     """Distinct candidate sets seen on one side, and in ``closure`` their
     connected unions: the sets that carry the side's containment rows."""
 
-    side: str
     members: tuple[PairSet, ...]
     closure: tuple[PairSet, ...]
 
@@ -163,7 +175,7 @@ def support_family(obs: Sequence[LocalObs], side: str,
         closure = connected_unions(members, cap=cap)
     except ClosureCapError as exc:
         raise ClosureCapError(f"{side} side: {exc}") from None
-    return SupportFamily(side=side, members=members, closure=closure)
+    return SupportFamily(members=members, closure=closure)
 
 
 def set_weights(obs: Iterable[LocalObs]) -> dict[PairSet, float]:
@@ -194,8 +206,6 @@ class ContainmentStats:
     """Containment frequencies of candidate sets within the connected
     unions, and the weights they come from."""
 
-    side: str
-    n_obs: int
     total: float
     family: SupportFamily
     containment: Mapping[PairSet, float]
@@ -221,10 +231,16 @@ def containment_stats(obs: Sequence[LocalObs], side: str,
     if tot <= 0:
         raise IdentifyError("empty side")
     weights = set_weights(obs)
-    return ContainmentStats(side=side, n_obs=len(obs), total=tot, family=fam,
+    return ContainmentStats(total=tot, family=fam,
                             containment=containment_rows(weights, tot,
                                                          fam.closure),
                             weights=weights)
+
+
+def support_atoms(*sides: ContainmentStats | None) -> tuple[Pair, ...]:
+    """The pairs in some candidate set of the sides given, sorted."""
+    return tuple(sorted(set().union(*(a for s in sides if s is not None
+                                      for a in s.family.members))))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +277,8 @@ def build_polytope(stats_plus: ContainmentStats | None,
         shares = [s.containment[a] if a in s.containment else s.union_share(a)
                   for s in sides]
         bounds[a] = max(p for p in shares if p is not None)
-    atoms = set().union(*bounds)
     rows = tuple((a, bounds[a]) for a in _canon(bounds))
-    return DistPolytope(atoms=tuple(sorted(atoms)), rows=rows)
+    return DistPolytope(atoms=support_atoms(*sides), rows=rows)
 
 
 def cover_matrix(sets: Sequence[PairSet], column: Mapping[Pair, int],
@@ -400,14 +415,9 @@ def default_partitions(stats_plus: ContainmentStats | None,
     """The stock partitions: support atoms plus remainder, and (optionally)
     the queried pair against everything else."""
     universe = frozenset(all_pairs(n_schools))
-    atoms: set[Pair] = set()
-    for stats in (stats_plus, stats_minus):
-        if stats is None:
-            continue
-        for a in stats.family.members:
-            atoms |= a
-    cells = [frozenset({p}) for p in sorted(atoms)]
-    rest = universe - atoms
+    atoms = support_atoms(stats_plus, stats_minus)
+    cells = [frozenset({p}) for p in atoms]
+    rest = universe.difference(atoms)
     if rest:
         cells.append(frozenset(rest))
     out = [("support-atoms", tuple(cells))]

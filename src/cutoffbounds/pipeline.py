@@ -116,8 +116,8 @@ class RunConfig:
     dgp: Mapping[str, Any] | None = None
     input_dir: str | None = None
     capacities: tuple[int, ...] | None = None
-    list_cap: int = 3
-    sample_n: int = 20000
+    list_cap: int | None = None
+    sample_n: int | None = None
     bandwidth: float | None = None
     min_local_n: int | None = None
     regimes: tuple[str, ...] = ("wpo", "wpo+umas", "spo", "spo+umas")
@@ -136,6 +136,16 @@ class RunConfig:
         if self.preset is not None and self.preset not in _PRESETS:
             raise PipelineError(f"unknown preset {self.preset!r};"
                                 f" choose from {_PRESETS}")
+        ingest = self.input_dir is not None
+        for key, used, default in (
+                ("capacities", ingest, None), ("list_cap", ingest, 3),
+                ("sample_n", self.preset == "strategic-showcase", 20000)):
+            value = getattr(self, key)
+            if value is not None and not used:
+                raise PipelineError(f"config key {key!r} is not used by"
+                                    f" this source")
+            if value is None and used:
+                object.__setattr__(self, key, default)
         if not self.regimes:
             raise PipelineError("regimes must be nonempty")
         for label in self.regimes:
@@ -149,13 +159,13 @@ class RunConfig:
             parse_outcome(spec)
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise PipelineError("bandwidth must be positive")
-        if self.sample_n < 1:
+        if self.sample_n is not None and self.sample_n < 1:
             raise PipelineError("sample_n must be >= 1")
         if self.seed < 0:
             raise PipelineError("seed must be >= 0")
         if self.falsification_action not in ("error", "warn"):
             raise PipelineError("falsification action must be 'error' or 'warn'")
-        if self.input_dir is not None and self.capacities is None:
+        if ingest and self.capacities is None:
             raise PipelineError("ingest mode needs capacities in the config")
 
     @classmethod
@@ -182,27 +192,13 @@ class RunConfig:
         return cls(**kw)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "list_cap": self.list_cap,
-            "regimes": list(self.regimes),
-            "outcomes": list(self.outcomes),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "closure_cap": self.closure_cap,
-            "falsification": {"action": self.falsification_action},
-        }
-        if self.preset is not None:
-            out["preset"] = self.preset
-            out["sample_n"] = self.sample_n
+        """The config as ``from_dict`` reads it: every key that is set, so
+        no source key that the source does not use."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
         if self.dgp is not None:
             out["dgp"] = dict(self.dgp)
-        if self.input_dir is not None:
-            out["input_dir"] = self.input_dir
-            out["capacities"] = list(self.capacities or ())
-        if self.bandwidth is not None:
-            out["bandwidth"] = self.bandwidth
-        if self.min_local_n is not None:
-            out["min_local_n"] = self.min_local_n
+        out["falsification"] = {"action": out.pop("falsification_action")}
         return out
 
 
@@ -307,11 +303,12 @@ def _serialize_qset(qset: frozenset) -> str:
     return "|".join(f"{a}:{b}" for a, b in sorted(qset))
 
 
-def _side_payload(stats: ContainmentStats | None) -> dict[str, Any] | None:
+def _side_payload(stats: ContainmentStats | None,
+                  n_obs: int) -> dict[str, Any] | None:
     if stats is None:
         return None
     return {
-        "n_obs": stats.n_obs,
+        "n_obs": n_obs,
         "total_weight": stats.total,
         "support": [[list(p) for p in sorted(a)] for a in stats.family.members],
         "rows": [{"set": [list(p) for p in sorted(a)],
@@ -339,6 +336,7 @@ class _Window:
     and no containment statistics).
     """
 
+    sample: LocalSample
     obs_plus: list[LocalObs]
     obs_minus: list[LocalObs]
     stats_plus: ContainmentStats | None
@@ -356,9 +354,9 @@ def _build_window(eco: Economy, sample: LocalSample, qsets: WindowQsets,
         stats_minus = (containment_stats(obs_minus, "minus", cap=closure_cap)
                        if obs_minus else None)
     except ClosureCapError as exc:
-        return _Window(obs_plus, obs_minus, None, None,
+        return _Window(sample, obs_plus, obs_minus, None, None,
                        status="skipped-closure-cap", reason=str(exc))
-    return _Window(obs_plus, obs_minus, stats_plus, stats_minus)
+    return _Window(sample, obs_plus, obs_minus, stats_plus, stats_minus)
 
 
 def _analyze_pairs(eco: Economy, pairs: Sequence[ComparablePair],
@@ -398,8 +396,8 @@ def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
     identify_block: dict[str, Any] = {
         "pair": list(jk),
         "regime": regime.label,
-        "plus": _side_payload(stats_plus),
-        "minus": _side_payload(stats_minus),
+        "plus": _side_payload(stats_plus, window.sample.n_plus),
+        "minus": _side_payload(stats_minus, window.sample.n_minus),
         "falsification": None,
     }
     delta = None
@@ -519,11 +517,10 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
     depth = STAGES.index(stage)
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     data = resolve_source(cfg)
     eco = data.economy
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.input_dir is None:
         io.write_economy(out_dir, eco)
     timings["source"] = time.perf_counter() - t0

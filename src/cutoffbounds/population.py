@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .economy import OUTSIDE
-from .identify import LocalObs
+from .identify import LocalObs, distinct_obs
 from .localpref import best_reported, best_true
 from .qsets import Pair, Regime, UmasRelation, build_qset
 
@@ -98,10 +98,9 @@ def build_local_obs(types: Sequence[LocalType], side: str,
                     cutoff_values: Mapping[int, float], school: int,
                     list_cap: int, regime: Regime,
                     umas: UmasRelation | None = None) -> list[LocalObs]:
-    """Weighted local records for one side of the cutoff: per type, one
-    record with outcome 1 weighted by the type's mass times its success
-    probability at the school it attends, and one with outcome 0 for the
-    rest of its mass (a record of zero weight is left out)."""
+    """Weighted local records for one side of the cutoff: per type, mass
+    times its success probability at the school it attends with outcome 1,
+    and the rest of its mass with outcome 0, summed per distinct record."""
     if side not in ("plus", "minus"):
         raise PopulationError(f"side must be 'plus' or 'minus', got {side!r}")
     above = side == "plus"
@@ -109,7 +108,7 @@ def build_local_obs(types: Sequence[LocalType], side: str,
     realized = above_b if above else below_b
     if regime.umas and umas is None:
         umas = umas_from_cutoffs(cutoff_values)
-    out: list[LocalObs] = []
+    records = []
     for t in types:
         qset = build_qset(t.report, below_b, above_b, above, list_cap,
                           regime, umas)
@@ -118,11 +117,9 @@ def build_local_obs(types: Sequence[LocalType], side: str,
         mean = _mean_outcome(t, _attended(t, realized))
         if not 0.0 <= mean <= 1.0:
             raise PopulationError("success probability outside [0, 1]")
-        for y, w in ((1.0, t.mass * mean), (0.0, t.mass * (1.0 - mean))):
-            if w > 0.0:
-                out.append(LocalObs(qset=qset, y=y, weight=w,
-                                    reported_pair=rep_pair))
-    return out
+        records += [(qset, 1.0, t.mass * mean, rep_pair),
+                    (qset, 0.0, t.mass * (1.0 - mean), rep_pair)]
+    return distinct_obs(records)
 
 
 def _pair_types(types: Sequence[LocalType], pair: Pair,

@@ -113,7 +113,9 @@ def test_c1_textbook_window_reproduced_exactly(acceptance_log):
     db = delta_bounds(poly, (4, 2), op, None)
     elapsed = time.perf_counter() - t0
 
-    masses = Counter(tuple(sorted(o.qset)) for o in op)
+    masses = Counter()
+    for o in op:
+        masses[tuple(sorted(o.qset))] += o.weight
     support = {k: v / sample.n_plus for k, v in masses.items()}
     problems = []
     if {k: round(v, 12) for k, v in support.items()} != {

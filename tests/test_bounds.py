@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoffbounds import LocalObs, containment_stats, delta_bounds
 from cutoffbounds.bounds import (
@@ -20,7 +24,9 @@ from cutoffbounds.bounds import (
     sharp_bounds_finite,
     trimming_bounds_continuous,
 )
-from cutoffbounds.identify import InfeasiblePolytopeError, build_polytope
+from cutoffbounds.identify import (FalsificationSignal,
+                                   InfeasiblePolytopeError, build_polytope,
+                                   distinct_obs, event_prob)
 
 from oracles import (grid_sharp_ate_binary, highs_sharp_bounds, joint_rows,
                      union_closure)
@@ -262,3 +268,86 @@ def test_effect_bounds_dataclass_basics():
     eff = EffectBounds(lower=-0.25, upper=0.5, method="hm")
     assert not eff.sign_identified
     assert eff.contains(-0.25) and eff.contains(0.5)
+
+
+# ---------------------------------------------------------------------------
+# distinct records
+
+
+_SMALL_PAIRS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_REPORTED = ((1, 0), (1, 1), (2, 1))
+
+
+@st.composite
+def _side_records(draw, values, unit):
+    """A side drawn from a few keys, so that keys repeat, each record with
+    weight 1 or a fractional weight."""
+    keys = draw(st.lists(st.tuples(
+        st.frozensets(_SMALL_PAIRS, min_size=1, max_size=3),
+        st.sampled_from(values), st.sampled_from(_REPORTED)),
+        min_size=1, max_size=4))
+    weight = st.just(1.0) if unit else st.floats(0.05, 3.0)
+    return [LocalObs(qset=q, y=y, weight=draw(weight), reported_pair=rep)
+            for q, y, rep in draw(st.lists(st.sampled_from(keys),
+                                           min_size=1, max_size=12))]
+
+
+def _estimates(plus, minus, pair, delta):
+    """Every per-record estimate, or the error it raises, as plain values."""
+    def run(f, *args):
+        try:
+            out = f(*args)
+        except (BoundsError, FalsificationSignal) as exc:
+            return type(exc).__name__
+        return dataclasses.astuple(out) if dataclasses.is_dataclass(out) \
+            else out
+
+    sp, sm = containment_stats(plus, "plus"), containment_stats(minus, "minus")
+    return {
+        "rows": [(s.total, s.family, dict(s.containment), s.weights)
+                 for s in (sp, sm)],
+        "event": [event_prob(side, pair) for side in (plus, minus)],
+        "delta": run(delta_bounds, build_polytope(sp, sm), pair, plus, minus),
+        "hm": [run(hm_side_bounds, pair_subpop(side, pair), delta)
+               for side in (plus, minus)],
+        "naive": run(naive_rd, plus, minus, plus[0].reported_pair),
+        "sharp": run(sharp_bounds_finite, plus, minus, sp, sm, pair),
+    }
+
+
+def _flat(x):
+    if isinstance(x, dict):
+        return [[k, _flat(v)] for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_flat(v) for v in x]
+    return x
+
+
+def _close(a, b, tol):
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) <= tol
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_close(u, v, tol)
+                                        for u, v in zip(a, b))
+    return a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), unit=st.booleans(), binary=st.booleans(),
+       delta=st.sampled_from([0.25, 0.6, 1.0]))
+def test_distinct_records_leave_every_estimate_unchanged(data, unit, binary,
+                                                         delta):
+    values = (0.0, 1.0) if binary else (0.0, 0.1, 1.0, 1 / 3, -1.7)
+    plus = data.draw(_side_records(values, unit))
+    minus = data.draw(_side_records(values, unit))
+    pair = min(plus[0].qset)
+    collapse = [distinct_obs((o.qset, o.y, o.weight, o.reported_pair)
+                             for o in side) for side in (plus, minus)]
+    assert all(len(c) == len({(o.qset, o.y, o.reported_pair) for o in side})
+               for c, side in zip(collapse, (plus, minus)))
+    raw = _estimates(plus, minus, pair, delta)
+    merged = _estimates(*collapse, pair, delta)
+    if unit:
+        assert merged == raw
+    else:
+        assert _close(_flat(merged), _flat(raw), 1e-12), (merged, raw)

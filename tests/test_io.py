@@ -537,7 +537,7 @@ def test_valid_files_take_the_numpy_reader(tmp_path, monkeypatch):
 
     for name in ("_body_rows", "_numbered", "_rols_by_rows"):
         monkeypatch.setattr(cio, name, refuse)
-    eco, ids = load_economy(tmp_path, list_cap=cfg.list_cap,
+    eco, ids = load_economy(tmp_path, list_cap=want.economy.list_cap,
                             capacities=want.economy.capacities)
     assert ids == list(range(1000))
     assert eco.score_groups == want.economy.score_groups == (0, 1, 2, 3)

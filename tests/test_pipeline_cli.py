@@ -115,6 +115,40 @@ def test_unknown_and_retired_keys_exit_2(tmp_path, capsys, extra, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source, key, value", [
+    ({"dgp": {"n_students": 300, "list_cap": 3}}, "list_cap", 1),
+    ({"dgp": {"n_students": 300}}, "capacities", [1]),
+    ({"dgp": {"n_students": 300}}, "sample_n", 5),
+    ({"preset": "golden-sd"}, "list_cap", 1),
+    ({"preset": "strategic-showcase"}, "capacities", [9, 9, 9, 9]),
+    ({"preset": "golden-sd"}, "sample_n", 5),
+    ({"preset": "rigged-wpo"}, "sample_n", 5),
+    ({"input_dir": "x", "capacities": [1]}, "sample_n", 5),
+])
+def test_keys_the_source_does_not_read_exit_2(tmp_path, capsys, source, key,
+                                              value):
+    path = tmp_path / "run.json"
+    dump_json(path, dict(source, out_dir=str(tmp_path / "out"), **{key: value}))
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert f"config key '{key}' is not used" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, echoed", [
+    ({"dgp": {"n_students": 300}}, {}),
+    ({"preset": "golden-sd"}, {}),
+    ({"preset": "strategic-showcase"}, {"sample_n": 20000}),
+    ({"input_dir": "x", "capacities": [1]}, {"capacities": [1],
+                                             "list_cap": 3}),
+])
+def test_config_echo_names_the_source_keys_it_reads(source, echoed):
+    cfg = RunConfig.from_dict(source)
+    echo = json.loads(json.dumps(cfg.to_dict()))
+    assert {k: echo[k] for k in ("capacities", "list_cap", "sample_n")
+            if k in echo} == echoed
+    assert RunConfig.from_dict(echo) == cfg
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"preset": "golden-sd", "list_cap": "three"}, "config key 'list_cap'"),
     ({"preset": "golden-sd", "closure_cap": None}, "config key 'closure_cap'"),
@@ -157,6 +191,8 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, payload, message):
     ({"dgp": {"n_students": 200, "score_sd": -5}},
      "config key 'dgp': score_sd"),
     ({"preset": "golden-sd", "bandwidth": "nan"}, "bandwidth"),
+    # only generate_economy reads the mode, after the config has passed
+    ({"dgp": {"n_students": 200, "score_mode": "x"}}, "score_mode 'x'"),
 ])
 def test_unusable_config_values_exit_2(tmp_path, capsys, payload, message):
     path = tmp_path / "run.json"
@@ -658,6 +694,20 @@ def test_closure_cap_overrun_is_a_status(tmp_path, capsys):
     entries = json.loads((out / "bounds.json").read_text())
     assert len(entries) == 8
     assert all(e["lower"] is None and e["upper"] is None for e in entries)
+
+
+def test_a_seatless_school_has_no_cutoff_and_no_pair(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, preset=None, min_local_n=10,
+                    dgp={"n_students": 500, "n_schools": 4,
+                         "capacities": [50, 0, 60, 40]},
+                    falsification={"action": "warn"})
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    with open(out / "cutoffs.csv") as fh:
+        cutoffs = {row["school_id"]: row["cutoff"] for row in csv.DictReader(fh)}
+    assert cutoffs["2"] == "inf"
+    pairs = json.loads((out / "manifest.json").read_text())["pairs"]
+    assert len(pairs) == 2 and all(2 not in pair for pair in pairs)
 
 
 def test_cli_overrides_take_precedence(tmp_path):
