@@ -230,7 +230,9 @@ class ReportingModel:
     model:
       * ``truth_topk``   -- best ``min(cap, #acceptable)`` schools, true order.
       * ``belief_skip``  -- as above, but drop out-of-reach schools first.
-      * ``adversarial``  -- side-dependent lists that break truthful order.
+      * ``adversarial``  -- side-dependent lists that break truthful order
+        at ``adversarial_school`` (default: the last school); needs two
+        schools.
 
     For ``belief_skip``, each student's believed cutoffs are the supplied
     (or pilot-run) cutoffs plus N(0, noise_sd) noise; a school is dropped
@@ -251,6 +253,19 @@ class ReportingModel:
         _check_numbers(self, "reporting.", {
             "noise_sd": (float, 0.0), "margin": (float, None),
             "adversarial_school": (int, 1)})
+
+
+def _check_adversarial(model: ReportingModel, n_schools: int) -> None:
+    """The adversarial rule needs a target school and another to swap in."""
+    if model.model != "adversarial":
+        return
+    if n_schools < 2:
+        raise EconomyError(f"reporting.model: 'adversarial' needs at least"
+                           f" 2 schools, got n_schools {n_schools}")
+    target = model.adversarial_school
+    if target is not None and target > n_schools:
+        raise EconomyError(f"reporting.adversarial_school: expected a school"
+                           f" in 1..{n_schools}, got {target}")
 
 
 @dataclass(frozen=True)
@@ -287,6 +302,7 @@ class DGPConfig:
             if not isinstance(getattr(self, name), kind):
                 raise EconomyError(f"{name}: expected an object, got"
                                    f" {getattr(self, name)!r}")
+        _check_adversarial(self.reporting, self.n_schools)
 
     @staticmethod
     def from_dict(raw: dict) -> "DGPConfig":
@@ -382,21 +398,15 @@ def generate_economy(cfg: DGPConfig) -> Economy:
         idx = np.nonzero(top_outside)[0]
         order[idx, 0] = order[idx, 1]
         order[idx, 1] = OUTSIDE
-    if cfg.all_acceptable:
-        for i in range(n):
-            row = order[i]
-            keep = row[row != OUTSIDE]
-            order[i, :J] = keep
-            order[i, J] = OUTSIDE
-    elif cfg.max_acceptable is not None:
-        cap = int(cfg.max_acceptable)
-        for i in range(n):
-            row = order[i]
-            out_pos = int(np.nonzero(row == OUTSIDE)[0][0])
-            if out_pos > cap:
-                keep = [d for d in row if d != OUTSIDE]
-                new = keep[:cap] + [OUTSIDE] + keep[cap:]
-                order[i] = new
+    if cfg.all_acceptable or cfg.max_acceptable is not None:
+        # move the outside option to position t, the schools keeping order
+        t = (np.full(n, J) if cfg.all_acceptable else np.minimum(
+            np.argmax(order == OUTSIDE, axis=1), cfg.max_acceptable))[:, None]
+        pos = np.arange(J + 1)
+        schools = order[order != OUTSIDE].reshape(n, J)
+        moved = np.take_along_axis(schools, np.where(pos < t, pos, pos - 1),
+                                   axis=1)
+        order = np.where(pos == t, OUTSIDE, moved)
     order.setflags(write=False)
 
     # potential outcomes
@@ -433,12 +443,36 @@ def generate_economy(cfg: DGPConfig) -> Economy:
 # reporting models
 
 
+def _acceptable_mask(order: np.ndarray) -> np.ndarray:
+    """(n, J+1) mask over true-order positions: the schools ranked above
+    the outside option."""
+    return np.logical_and.accumulate(order != OUTSIDE, axis=1)
+
+
+def _first(mask: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` marked positions of each row of ``mask``."""
+    return mask & (np.cumsum(mask, axis=1) <= k)
+
+
+def _at_positions(order: np.ndarray, per_school: np.ndarray) -> np.ndarray:
+    """``per_school[..., j-1]`` moved to school ``j``'s position in each
+    true order; the outside option's position holds NaN."""
+    per_option = np.empty(order.shape)
+    per_option[:, OUTSIDE] = np.nan
+    per_option[:, 1:] = per_school
+    return np.take_along_axis(per_option, order, axis=1)
+
+
+def _listed(values: np.ndarray, mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Row ``i``'s list: ``values[i]`` at the positions ``mask[i]`` marks."""
+    flat = values[mask].tolist()
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return tuple([tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+
+
 def _truth_topk_reports(eco: Economy) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for i in range(eco.n_students):
-        acc = eco.truth.acceptable(i)
-        out.append(tuple(acc[: eco.list_cap]))
-    return tuple(out)
+    order = eco.truth.pref_orders
+    return _listed(order, _first(_acceptable_mask(order), eco.list_cap))
 
 
 def _pilot_cutoffs(eco: Economy) -> tuple[float, ...]:
@@ -454,35 +488,28 @@ def _belief_skip_reports(
     eco: Economy, model: ReportingModel, rng: np.random.Generator,
     cutoffs: Sequence[float],
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    J, K = eco.n_schools, eco.list_cap
+    n, J, K = eco.n_students, eco.n_schools, eco.list_cap
     base = np.asarray(cutoffs, dtype=float)
-    beliefs = base[None, :] + rng.normal(0.0, model.noise_sd,
-                                         size=(eco.n_students, J))
-    reports = []
-    for i in range(eco.n_students):
-        acc = eco.truth.acceptable(i)
-        feasible = [j for j in acc if eco.score(i, j) >= base[j - 1]]
-        kept = []
-        for j in acc:
-            s = eco.score(i, j)
-            hopeless = s < beliefs[i, j - 1] - model.margin
-            if hopeless and s < base[j - 1]:
-                continue            # out of reach and believed so: drop
-            kept.append(j)
-        rol = kept[:K]
-        if model.rational_floor and feasible:
-            best = feasible[0]      # acc is in true order of preference
-            if best not in rol:
-                pool = set(rol)
-                if len(pool) >= K:
-                    pool.discard(rol[-1])   # make room, drop least preferred
-                pool.add(best)
-                rol = [j for j in acc if j in pool]
-        if not rol:
-            rol = [acc[0]]
-        reports.append(tuple(rol))
+    beliefs = base[None, :] + rng.normal(0.0, model.noise_sd, size=(n, J))
+    order = eco.truth.pref_orders
+    acc = _acceptable_mask(order)
+    score = _at_positions(order, eco.score_cols[:, list(eco.score_groups)])
+    cutoff = _at_positions(order, base)
+    feasible = acc & (score >= cutoff)
+    hopeless = score < _at_positions(order, beliefs) - model.margin
+    # out of reach and believed so: drop
+    rol = _first(acc & ~(hopeless & (score < cutoff)), K)
+    if model.rational_floor:
+        best = np.argmax(feasible, axis=1)      # the best feasible school
+        add = np.nonzero(feasible.any(axis=1)
+                         & ~rol[np.arange(n), best])[0]
+        full = add[rol[add].sum(axis=1) >= K]
+        # make room: drop the least preferred listed school
+        rol[full, J - np.argmax(rol[full, ::-1], axis=1)] = False
+        rol[add, best[add]] = True
+    rol[~rol.any(axis=1), 0] = True             # else the favourite alone
     beliefs.setflags(write=False)
-    return tuple(reports), beliefs
+    return _listed(order, rol), beliefs
 
 
 def _adversarial_reports(
@@ -493,25 +520,28 @@ def _adversarial_reports(
 
     Students acceptable to the target school list it truthfully when they
     believe they clear its cutoff; otherwise they swap in the school just
-    above the target id (whether or not they find it acceptable).  The
-    result is a reporting rule no truthful-order analysis can rationalize.
+    above the target id (whether or not they find it acceptable), keeping
+    the first copy when it is listed already.  The result is a reporting
+    rule no truthful-order analysis can rationalize.
     """
-    J, K = eco.n_schools, eco.list_cap
+    _check_adversarial(model, eco.n_schools)
+    n, J, K = eco.n_students, eco.n_schools, eco.list_cap
     target = model.adversarial_school or J
     base = np.asarray(cutoffs, dtype=float)
-    beliefs = np.repeat(base[None, :], eco.n_students, axis=0)
+    beliefs = np.repeat(base[None, :], n, axis=0)
     swap = target - 1 if target > 1 else target + 1
-    reports = []
-    for i in range(eco.n_students):
-        acc = eco.truth.acceptable(i)
-        rol = list(acc[:K])
-        if target in rol and eco.score(i, target) < base[target - 1]:
-            rol = [swap if j == target else j for j in rol]
-            if len(set(rol)) != len(rol):
-                rol = [j for k, j in enumerate(rol) if j not in rol[:k]]
-        reports.append(tuple(rol))
+    order = eco.truth.pref_orders
+    rol = _first(_acceptable_mask(order), K)
+    at = np.argmax(order == target, axis=1)
+    swap_at = np.argmax(order == swap, axis=1)
+    hit = np.nonzero(rol[np.arange(n), at]
+                     & (eco.school_scores(target) < base[target - 1]))[0]
+    values = order.copy()
+    values[hit, at[hit]] = swap
+    twice = hit[rol[hit, swap_at[hit]]]         # swap listed already
+    rol[twice, np.maximum(at[twice], swap_at[twice])] = False
     beliefs.setflags(write=False)
-    return tuple(reports), beliefs
+    return _listed(values, rol), beliefs
 
 
 def generate_reports(eco: Economy, model: ReportingModel,

@@ -217,6 +217,8 @@ class ContainmentStats:
     def union_share(self, cell: PairSet) -> float | None:
         """Share of candidate sets inside ``cell`` when ``cell`` is a union
         of candidate sets, else None."""
+        if cell in self.containment:
+            return self.containment[cell]
         inside = [q for q in self.weights if q <= cell]
         if frozenset().union(*inside) != cell:
             return None
@@ -235,6 +237,15 @@ def containment_stats(obs: Sequence[LocalObs], side: str,
                             containment=containment_rows(weights, tot,
                                                          fam.closure),
                             weights=weights)
+
+
+def largest_share(cell: PairSet,
+                  *sides: ContainmentStats | None) -> float | None:
+    """The largest share of candidate sets inside ``cell`` across the
+    sides on which ``cell`` is a union of candidate sets; None on no
+    side."""
+    shares = [s.union_share(cell) for s in sides if s is not None]
+    return max((p for p in shares if p is not None), default=None)
 
 
 def support_atoms(*sides: ContainmentStats | None) -> tuple[Pair, ...]:
@@ -272,12 +283,8 @@ def build_polytope(stats_plus: ContainmentStats | None,
     sides = [s for s in (stats_plus, stats_minus) if s is not None]
     if not sides:
         raise IdentifyError("no side data at all")
-    bounds: dict[PairSet, float] = {}
-    for a in set().union(*(s.containment for s in sides)):
-        shares = [s.containment[a] if a in s.containment else s.union_share(a)
-                  for s in sides]
-        bounds[a] = max(p for p in shares if p is not None)
-    rows = tuple((a, bounds[a]) for a in _canon(bounds))
+    rows = tuple((a, largest_share(a, *sides))
+                 for a in _canon(set().union(*(s.containment for s in sides))))
     return DistPolytope(atoms=support_atoms(*sides), rows=rows)
 
 
@@ -427,16 +434,6 @@ def default_partitions(stats_plus: ContainmentStats | None,
     return out
 
 
-def _cell_lower_bound(cell: PairSet, stats_plus: ContainmentStats | None,
-                      stats_minus: ContainmentStats | None) -> float:
-    """The largest side's share of candidate sets inside ``cell``, counting
-    a side only when the cell is a union of its candidate sets."""
-    vals = [stats.union_share(cell) for stats in (stats_plus, stats_minus)
-            if stats is not None]
-    vals = [v for v in vals if v is not None]
-    return max(vals) if vals else 0.0
-
-
 def falsification_test(stats_plus: ContainmentStats | None,
                        stats_minus: ContainmentStats | None,
                        n_schools: int,
@@ -453,7 +450,7 @@ def falsification_test(stats_plus: ContainmentStats | None,
     checks = []
     for name, cells in default_partitions(stats_plus, stats_minus, n_schools,
                                            pair):
-        stat = sum(_cell_lower_bound(cell, stats_plus, stats_minus)
+        stat = sum(largest_share(cell, stats_plus, stats_minus) or 0.0
                    for cell in cells)
         checks.append(PartitionCheck(name=name, statistic=float(stat),
                                      limit=FALSIFICATION_LIMIT,

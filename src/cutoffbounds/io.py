@@ -18,7 +18,8 @@ internally; reading infers the sharing structure back from exact column
 equality.  Each input file's header is stated once, for its reader and
 its writer.  Every CSV is written by ``write_csv``: rows carry Python
 floats (``.tolist()``), which ``csv`` writes as their ``repr``, with
-round-trip precision, and None as an empty field.  JSON artifacts are
+round-trip precision, and None as an empty field; ``students.csv``'s
+scores arrive as that ``repr`` text already.  JSON artifacts are
 normalized (sorted keys, numpy scalars as Python numbers, negative zero as
 zero, non-finite floats as strings, frozensets as sorted lists) so reruns
 with the same inputs produce byte-identical files.
@@ -213,9 +214,12 @@ def _check_students(path: Path, found: Mapping[int, Any],
 
 
 def write_students(path: Path, eco: Economy) -> None:
-    scores = eco.score_cols[:, list(eco.score_groups)]
+    """One score column per school; a column that several schools share
+    is formatted once, as ``csv`` writes a float: its ``repr``."""
+    text = {g: list(map(repr, eco.score_cols[:, g].tolist()))
+            for g in set(eco.score_groups)}
     write_csv(path, _students_header(eco.n_schools),
-              ([i] + row.tolist() for i, row in enumerate(scores)))
+              zip(range(eco.n_students), *(text[g] for g in eco.score_groups)))
 
 
 def read_students(path: Path) -> tuple[list[int], np.ndarray]:

@@ -140,6 +140,7 @@ def extract_cutoffs(matching: Matching, eco: Economy) -> CutoffProfile:
     score-support floor. A zero-capacity school admits nobody: +inf.
     """
     floor = eco.score_floor()
+    assignment = np.asarray(matching.assignment)
     values = []
     for j in range(1, eco.n_schools + 1):
         q = eco.capacities[j - 1]
@@ -149,7 +150,7 @@ def extract_cutoffs(matching: Matching, eco: Economy) -> CutoffProfile:
         elif fill < q:
             values.append(floor)
         else:
-            admitted = list(matching.assigned_to(j))
+            admitted = assignment == j
             values.append(float(eco.school_scores(j)[admitted].min()))
     return CutoffProfile(values=tuple(values), floor=floor)
 

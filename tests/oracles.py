@@ -8,12 +8,19 @@ they can reach.
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import replace
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
 from cutoffbounds import Economy, OUTSIDE
+from cutoffbounds.economy import (DGPConfig, EconomyError, EconomyTruth,
+                                  _resolve_capacities, _unique_scores)
+from cutoffbounds.io import write_outcomes, write_rols, write_truth
+from cutoffbounds.mechanism import run_da
 from cutoffbounds.qsets import Regime
 
 
@@ -584,3 +591,146 @@ def grid_sharp_ate_binary(atoms, pair, rows_plus, rows_minus,
     if not np.isfinite(lo):
         raise ValueError("joint grid found no feasible configuration")
     return float(lo), float(hi)
+
+
+# ---------------------------------------------------------------------------
+# simulated-cohort oracle: the generator and reporting models student by
+# student, and the students file one row at a time
+
+
+def acceptable(order) -> tuple[int, ...]:
+    """Schools listed before the outside option in one true order."""
+    out = []
+    for d in order:
+        if d == OUTSIDE:
+            break
+        out.append(int(d))
+    return tuple(out)
+
+
+def reference_economy(cfg: DGPConfig) -> Economy:
+    """``generate_economy`` written with a loop over students wherever a
+    student's own data decides: the same draws in the same order."""
+    rng = np.random.default_rng(cfg.seed)
+    n, J, K = cfg.n_students, cfg.n_schools, cfg.list_cap
+    if cfg.score_mode == "sd":
+        n_cols, groups = 1, (0,) * J
+        cols = rng.normal(cfg.score_mean, cfg.score_sd, size=(n, 1))
+    elif cfg.score_mode == "independent":
+        n_cols, groups = J, tuple(range(J))
+        cols = rng.normal(cfg.score_mean, cfg.score_sd, size=(n, J))
+    elif cfg.score_mode == "correlated":
+        n_cols, groups = J, tuple(range(J))
+        rho = float(np.clip(cfg.score_corr, 0.0, 0.999))
+        common = rng.normal(0.0, 1.0, size=(n, 1))
+        own = rng.normal(0.0, 1.0, size=(n, J))
+        z = np.sqrt(rho) * common + np.sqrt(1.0 - rho) * own
+        cols = cfg.score_mean + cfg.score_sd * z
+    else:
+        raise EconomyError(f"unknown score_mode {cfg.score_mode!r}")
+    for c in range(n_cols):
+        cols[:, c] = _unique_scores(cols[:, c], rng)
+
+    quality = cfg.quality
+    if quality is None:
+        quality = tuple(0.5 * j for j in range(J))
+    util = np.empty((n, J + 1))
+    util[:, 0] = cfg.outside_strength + cfg.taste_sd * rng.normal(size=n)
+    util[:, 1:] = np.asarray(quality) + cfg.taste_sd * rng.normal(size=(n, J))
+    order = np.argsort(-util, axis=1, kind="stable").astype(np.int64)
+    for i in range(n):
+        if order[i, 0] == OUTSIDE:
+            order[i, 0], order[i, 1] = order[i, 1], OUTSIDE
+        keep = [int(d) for d in order[i] if d != OUTSIDE]
+        if cfg.all_acceptable:
+            order[i] = keep + [OUTSIDE]
+        elif cfg.max_acceptable is not None:
+            cap = int(cfg.max_acceptable)
+            if len(acceptable(order[i])) > cap:
+                order[i] = keep[:cap] + [OUTSIDE] + keep[cap:]
+
+    om = cfg.outcome
+    effects = om.school_effects or (0.0,) * J
+    inv = np.argsort(order, axis=1)
+    pull = (J - inv) / max(J, 1)
+    latent = om.rank_weight * pull + rng.normal(0.0, om.noise_sd,
+                                                size=(n, J + 1))
+    latent[:, 1:] += np.asarray(effects)
+    potential = ((latent > om.threshold).astype(float)
+                 if om.kind == "binary" else latent)
+
+    eco = Economy(n_schools=J, list_cap=K, capacities=_resolve_capacities(cfg),
+                  score_groups=groups, score_cols=cols,
+                  truth=EconomyTruth(pref_orders=order, potential=potential))
+    model = cfg.reporting
+    rng = np.random.default_rng((cfg.seed, 0x5eed))
+    accs = [acceptable(row) for row in order]
+    topk = tuple(acc[:K] for acc in accs)
+    if model.model == "truth_topk":
+        return replace(eco, reports=topk)
+    pilot = run_da(replace(eco, reports=topk))
+    base = []
+    for j in range(1, J + 1):
+        admitted = [i for i in range(n) if pilot.assignment[i] == j]
+        if eco.capacities[j - 1] == 0:
+            base.append(float("inf"))
+        elif len(admitted) < eco.capacities[j - 1]:
+            base.append(eco.score_floor())
+        else:
+            base.append(min(eco.score(i, j) for i in admitted))
+    if model.model == "belief_skip":
+        beliefs = np.asarray(base)[None, :] + rng.normal(
+            0.0, model.noise_sd, size=(n, J))
+        reports = []
+        for i, acc in enumerate(accs):
+            feasible = [j for j in acc if eco.score(i, j) >= base[j - 1]]
+            kept = []
+            for j in acc:
+                s = eco.score(i, j)
+                hopeless = s < beliefs[i, j - 1] - model.margin
+                if hopeless and s < base[j - 1]:
+                    continue
+                kept.append(j)
+            rol = kept[:K]
+            if model.rational_floor and feasible:
+                best = feasible[0]
+                if best not in rol:
+                    pool = set(rol)
+                    if len(pool) >= K:
+                        pool.discard(rol[-1])
+                    pool.add(best)
+                    rol = [j for j in acc if j in pool]
+            if not rol:
+                rol = [acc[0]]
+            reports.append(tuple(rol))
+    elif model.model == "adversarial":
+        target = model.adversarial_school or J
+        swap = target - 1 if target > 1 else target + 1
+        beliefs = np.repeat(np.asarray(base)[None, :], n, axis=0)
+        reports = []
+        for i, acc in enumerate(accs):
+            rol = list(acc[:K])
+            if target in rol and eco.score(i, target) < base[target - 1]:
+                rol = [swap if j == target else j for j in rol]
+                rol = [j for k, j in enumerate(rol) if j not in rol[:k]]
+            reports.append(tuple(rol))
+    else:
+        raise EconomyError(f"unknown reporting model {model.model!r}")
+    return replace(eco, reports=tuple(reports), beliefs=beliefs)
+
+
+def reference_write_economy(out_dir: Path, eco: Economy) -> None:
+    """``io.write_economy`` with ``students.csv`` written a row of floats
+    at a time."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "students.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"s_{j}"
+                                  for j in range(1, eco.n_schools + 1)])
+        for i in range(eco.n_students):
+            writer.writerow([i] + [eco.score(i, j)
+                                   for j in range(1, eco.n_schools + 1)])
+    write_rols(out_dir / "rols.csv", eco)
+    if eco.y_observed is not None:
+        write_outcomes(out_dir / "outcomes.csv", eco)
+    write_truth(out_dir / "truth.csv", eco)

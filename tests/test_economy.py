@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from cutoffbounds import (
     DGPConfig,
@@ -21,6 +25,10 @@ from cutoffbounds.economy import (
     is_weak_truthful_order,
     validate_report,
 )
+from cutoffbounds.io import write_economy
+from cutoffbounds.mechanism import run_da
+from oracles import reference_economy, reference_write_economy
+from strategies import dgp_dicts
 
 
 def test_generation_is_deterministic():
@@ -199,3 +207,26 @@ def test_config_round_trip():
         outcome=OutcomeModel(kind="binary", school_effects=(0.0, 0.1, 0.2)),
         reporting=ReportingModel(model="belief_skip", noise_sd=12.0),
         seed=77)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dgp_dicts(max_students=400, max_schools=8))
+# a full list that must make room for the best feasible school
+@example({"n_students": 292, "n_schools": 3, "list_cap": 1, "seed": 460,
+          "reporting": {"model": "belief_skip", "noise_sd": 12.75,
+                        "margin": -0.37}})
+def test_generated_cohorts_match_the_reference(raw):
+    cfg = DGPConfig.from_dict(raw)
+    got, want = generate_economy(cfg), reference_economy(cfg)
+    assert got.reports == want.reports
+    assert (got.beliefs is None) == (want.beliefs is None)
+    if got.beliefs is not None:
+        assert np.array_equal(got.beliefs, want.beliefs)
+    with tempfile.TemporaryDirectory() as tmp:
+        for eco, write, name in ((got, write_economy, "got"),
+                                 (want, reference_write_economy, "want")):
+            eco = observe_outcomes(eco, run_da(eco).assignment)
+            write(Path(tmp) / name, eco)
+        for f in ("students.csv", "rols.csv", "outcomes.csv", "truth.csv"):
+            assert ((Path(tmp) / "got" / f).read_bytes()
+                    == (Path(tmp) / "want" / f).read_bytes()), f

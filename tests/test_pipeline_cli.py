@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoffbounds import localpref, pipeline, qsets
 from cutoffbounds.cli import main
@@ -25,6 +29,7 @@ from cutoffbounds.pipeline import (
     write_report,
 )
 from cutoffbounds.qsets import detect_umas, qset_for_student, regime_from_label
+from strategies import dgp_dicts
 
 ARTIFACTS = ("students.csv", "rols.csv", "outcomes.csv", "truth.csv",
              "matching.csv", "cutoffs.csv", "pairs.csv", "qsets.csv",
@@ -193,6 +198,14 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, payload, message):
     ({"preset": "golden-sd", "bandwidth": "nan"}, "bandwidth"),
     # only generate_economy reads the mode, after the config has passed
     ({"dgp": {"n_students": 200, "score_mode": "x"}}, "score_mode 'x'"),
+    ({"dgp": {"n_students": 300, "n_schools": 3,
+              "reporting": {"model": "adversarial", "adversarial_school": 9}}},
+     "config key 'dgp': reporting.adversarial_school: expected a school in"
+     " 1..3, got 9"),
+    ({"dgp": {"n_students": 300, "n_schools": 1,
+              "reporting": {"model": "adversarial"}}},
+     "config key 'dgp': reporting.model: 'adversarial' needs at least 2"
+     " schools"),
 ])
 def test_unusable_config_values_exit_2(tmp_path, capsys, payload, message):
     path = tmp_path / "run.json"
@@ -730,3 +743,63 @@ def test_cli_config_errors(tmp_path, capsys):
     bad.write_text('{"preset": "golden-sd", "verbose": true}')
     assert main(["bounds", "--config", str(bad)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# simulated cohorts
+
+
+# the benchmark's fixed J=6 cohort: its two falsified-yet-consistent
+# combinations rest on this exact draw
+STRATEGIC_J6_DGP = {
+    "n_students": 3000, "n_schools": 6, "list_cap": 3, "score_mode": "sd",
+    "capacities": [125, 150, 188, 250, 375, 750],
+    "outcome": {"kind": "binary"},
+    "reporting": {"model": "belief_skip", "noise_sd": 20},
+    "seed": 2,
+}
+
+
+def test_strategic_j6_cohort_files_are_pinned(tmp_path):
+    path = tmp_path / "run.json"
+    dump_json(path, {"dgp": STRATEGIC_J6_DGP, "out_dir": str(tmp_path)})
+    assert main(["simulate", "--config", str(path)]) == 0
+    want = {
+        "students.csv": "d382b69e0e5b7f516feeb2c2a07ddfb0"
+                        "426689c21347a5d186967b42312e0d7a",
+        "rols.csv": "6f22808b8fd37723a84ec7dbe3bba9a5"
+                    "c1e51f3cf5ee329310c2324308fcc174",
+        "outcomes.csv": "5984a6933cac954ce96f511b9967012c"
+                        "2664b7f34f628cf4615ce9adb4ad280d",
+        "truth.csv": "ecf613bd675dd5c4cfb971475d7b63c6"
+                     "f46740c7855386789c97d7ed9184f5ce",
+    }
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in want}
+    assert got == want
+
+
+def _readme_statuses() -> set[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split("| status | meaning |")[1]
+    return set(re.findall(r"^\| `([a-z-]+)` \|", table.split("\n\n")[0],
+                          flags=re.M))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dgp_dicts(max_students=600, max_schools=6),
+       st.sampled_from([5, 20, 50]), st.sampled_from([30.0, 150.0]))
+def test_any_valid_dgp_runs_to_a_documented_status(dgp, min_local_n,
+                                                   bandwidth):
+    statuses = _readme_statuses()
+    assert statuses
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        dump_json(path, {"dgp": dgp, "min_local_n": min_local_n,
+                         "bandwidth": bandwidth,
+                         "out_dir": str(Path(tmp) / "out")})
+        code = main(["bounds", "--config", str(path)])
+        manifest = json.loads((Path(tmp) / "out" / "manifest.json")
+                              .read_text())
+    assert code == (3 if manifest["falsified_any"] else 0)
+    assert {e["status"] for e in manifest["statuses"]} <= statuses
