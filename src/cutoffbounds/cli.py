@@ -93,6 +93,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"warning: supplied assignments differ from recomputed"
                   f" matching for ids {ids[:10]}"
                   + (" ..." if len(ids) > 10 else ""), file=sys.stderr)
+        if manifest.get("warnings", {}).get("tied_scores"):
+            schools = [t["school_id"]
+                       for t in manifest["warnings"]["tied_scores"]]
+            print(f"warning: tied scores at schools {schools}; the lower"
+                  " students.csv id wins a tie", file=sys.stderr)
         if manifest.get("falsified_any"):
             print("warning: falsification detected for at least one"
                   " pair-regime combination", file=sys.stderr)

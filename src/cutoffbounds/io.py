@@ -18,8 +18,9 @@ internally; reading infers the sharing structure back from exact column
 equality.  Each input file's header is stated once, for its reader and
 its writer.  Every CSV is written by ``write_csv``: rows carry Python
 floats (``.tolist()``), which ``csv`` writes as their ``repr``, with
-round-trip precision, and None as an empty field; ``students.csv``'s
-scores arrive as that ``repr`` text already.  JSON artifacts are
+round-trip precision, and None as an empty field; ``students.csv`` and
+``truth.csv`` arrive as that text already, each distinct value formatted
+once (in ``truth.csv``, once per chunk of rows).  JSON artifacts are
 normalized (sorted keys, numpy scalars as Python numbers, negative zero as
 zero, non-finite floats as strings, frozensets as sorted lists) so reruns
 with the same inputs produce byte-identical files.
@@ -32,6 +33,7 @@ import hashlib
 import json
 import warnings
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -83,6 +85,26 @@ def write_csv(path: Path, header: Sequence[str],
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _text_rows(*blocks: np.ndarray):
+    """The rows of ``blocks`` side by side, each a column or a 2-d array
+    with one row per CSV row, as the text ``csv`` writes for each cell:
+    its ``repr``.  Rows go in chunks of 512, and within a chunk each
+    distinct value of a block is formatted once; values are told apart by
+    their bits, so ``-0.0`` keeps its sign."""
+    n = len(blocks[0])
+    blocks = [np.ascontiguousarray(b.reshape(n, -1)) for b in blocks]
+
+    def text(block: np.ndarray) -> np.ndarray:
+        bits, at = np.unique(block.view(f"i{block.itemsize}"),
+                             return_inverse=True)
+        words = list(map(repr, bits.view(block.dtype).tolist()))
+        return np.array(words, dtype=object)[at.reshape(block.shape)]
+
+    return chain.from_iterable(
+        np.hstack([text(b[lo:lo + 512]) for b in blocks]).tolist()
+        for lo in range(0, n, 512))
 
 
 def _split_header(path: Path) -> tuple[list[str] | None, str]:
@@ -385,10 +407,9 @@ def read_outcomes(path: Path, ids: Sequence[int]) -> np.ndarray:
 def write_truth(path: Path, eco: Economy) -> None:
     if eco.truth is None:
         raise EconomyError("economy has no ground truth")
-    rows = zip(eco.truth.pref_orders, eco.truth.potential)
     write_csv(path, _truth_header(eco.n_schools),
-              ([i] + order.tolist() + pot.tolist()
-               for i, (order, pot) in enumerate(rows)))
+              _text_rows(np.arange(eco.n_students), eco.truth.pref_orders,
+                         eco.truth.potential))
 
 
 def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:

@@ -1,17 +1,21 @@
 """Matching mechanisms and their audits.
 
 ``run_da`` is student-proposing deferred acceptance on the submitted lists
-with score priorities; ``run_sd`` is the serial-dictatorship fast path that
-applies when every school ranks students by one shared score.  Both return
-the student-optimal matching that is stable with respect to the submitted
-lists, and ``extract_cutoffs`` reads the admission cutoffs off the result.
+with score priorities, run in simultaneous Gale-Shapley rounds over arrays:
+each round every rejected student proposes to their next school, and one
+sort of an integer key per list entry (school, score rank, student
+position) settles the pools of all schools.  ``run_sd`` is an independent
+serial dictatorship for economies where every school ranks students by one
+shared score: it matches the packaged presets and checks ``run_da`` there.
+Both return the student-optimal matching that is stable with respect to the
+submitted lists, and ``extract_cutoffs`` reads the admission cutoffs off
+the result.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,53 +60,71 @@ def _require_reports(eco: Economy) -> tuple[tuple[int, ...], ...]:
 def run_da(eco: Economy) -> Matching:
     """Student-proposing deferred acceptance on the submitted lists.
 
-    Students propose in id order; a full school keeps the proposers with the
-    highest scores at that school. Scores are assumed tie-free. The outcome
-    is independent of proposal order, so no randomness enters here.
+    Runs in Gale-Shapley rounds over arrays: every free student proposes to
+    the next school on their list, and each school that received proposals
+    keeps the best ``q`` of its proposers and the students it holds, sorted
+    by score descending; the rest are free for the next round.  A
+    zero-capacity school rejects everyone.  At equal scores the lower
+    student position wins (for an ingested economy, the lower
+    ``students.csv`` id), so ties have one fixed outcome; on tie-free scores
+    this is the student-optimal stable matching, whatever the proposal
+    order.
     """
     reports = _require_reports(eco)
     n, J = eco.n_students, eco.n_schools
-    qs = eco.capacities
-    # one list of Python floats per score column, shared by its schools
-    cols = {g: eco.score_cols[:, g].tolist() for g in set(eco.score_groups)}
-    scores = [None] + [cols[g] for g in eco.score_groups]
-
-    # per-school min-heap of (score, student) among currently held students
-    held: list[list[tuple[float, int]]] = [[] for _ in range(J + 1)]
-    next_choice = [0] * n
-    assignment = [OUTSIDE] * n
-    free = deque(range(n))
-    while free:
-        i = free.popleft()
-        placed = False
-        while next_choice[i] < len(reports[i]):
-            j = reports[i][next_choice[i]]
-            next_choice[i] += 1
-            q = qs[j - 1]
-            if q == 0:
-                continue
-            s = scores[j][i]
-            heap = held[j]
-            if len(heap) < q:
-                heapq.heappush(heap, (s, i))
-                assignment[i] = j
-                placed = True
-                break
-            worst_s, worst_i = heap[0]
-            if s > worst_s:
-                heapq.heapreplace(heap, (s, i))
-                assignment[i] = j
-                assignment[worst_i] = OUTSIDE
-                free.append(worst_i)
-                placed = True
-                break
-        if not placed:
-            assignment[i] = OUTSIDE
-    fills = [0] * J
-    for a in assignment:
-        if a != OUTSIDE:
-            fills[a - 1] += 1
-    return Matching(assignment=tuple(assignment), fills=tuple(fills))
+    seats = np.array((0,) + eco.capacities)     # indexed by school id
+    lengths = np.fromiter(map(len, reports), dtype=np.int64, count=n)
+    flat = np.fromiter(chain.from_iterable(reports), dtype=np.int64,
+                       count=int(lengths.sum()))
+    start = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(n), lengths)
+    # one integer key per list entry orders a school's applicants: score
+    # descending (as a dense rank), then student position ascending
+    score = eco.score_cols[owner, np.array(eco.score_groups)[flat - 1]]
+    levels, dense = np.unique(-score, return_inverse=True)
+    stride = len(levels) * n                    # keys of one school
+    if (J + 1) * stride > np.iinfo(np.int64).max:
+        raise MechanismError("too many students and scores for 64-bit keys")
+    key = flat * stride + dense * n + owner
+    proposed = np.zeros(n, dtype=np.int64)      # schools proposed to so far
+    held = np.full(n, OUTSIDE, dtype=np.int64)
+    held_key = np.zeros(n, dtype=np.int64)
+    # a proposal with a key above its school's bar is rejected outright:
+    # the bar is the worst held key once the school is full, -1 without seats
+    bar = np.where(seats > 0, np.iinfo(np.int64).max, -1)
+    free = np.arange(n)
+    while True:
+        free = free[proposed[free] < lengths[free]]
+        if not free.size:
+            break
+        entry = start[free] + proposed[free]
+        proposed[free] += 1
+        school = flat[entry]
+        fresh = key[entry] < bar[school]
+        turned_away = free[~fresh]
+        free, entry, school = free[fresh], entry[fresh], school[fresh]
+        courted = np.zeros(J + 1, dtype=bool)
+        courted[school] = True
+        holders = np.flatnonzero(courted[held])
+        pool_key = np.concatenate((held_key[holders], key[entry]))
+        order = np.argsort(pool_key)
+        pool = np.concatenate((holders, free))[order]
+        pool_key = pool_key[order]
+        at = pool_key // stride
+        # rank within each school's run of the sorted pool
+        counts = np.bincount(at, minlength=J + 1)
+        rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[at]
+        keep = rank < seats[at]
+        last = rank == seats[at] - 1
+        bar[at[last]] = pool_key[last]
+        held[pool[keep]] = at[keep]
+        held_key[pool[keep]] = pool_key[keep]
+        free = pool[~keep]
+        held[free] = OUTSIDE
+        free = np.concatenate((free, turned_away))
+    fills = np.bincount(held, minlength=J + 1)[1:]
+    return Matching(assignment=tuple(held.tolist()),
+                    fills=tuple(fills.tolist()))
 
 
 def run_sd(eco: Economy) -> Matching:

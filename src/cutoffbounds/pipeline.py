@@ -222,6 +222,19 @@ class RunData:
     warnings: dict[str, Any] = field(default_factory=dict)
 
 
+def _tied_scores(eco: Economy) -> list[dict[str, int]]:
+    """Each school whose score column repeats a value, with the number of
+    students who share their score there with another student.  At such a
+    school the lowest admitted score need not separate the admitted from
+    the rejected."""
+    tied = []
+    for g in range(eco.score_cols.shape[1]):
+        counts = np.unique(eco.score_cols[:, g], return_counts=True)[1]
+        tied.append(int(counts[counts > 1].sum()))
+    return [{"school_id": j, "tied_students": tied[g]}
+            for j, g in enumerate(eco.score_groups, start=1) if tied[g]]
+
+
 def resolve_source(cfg: RunConfig) -> RunData:
     bandwidth = cfg.bandwidth
     min_local_n = cfg.min_local_n
@@ -259,6 +272,9 @@ def resolve_source(cfg: RunConfig) -> RunData:
     eco, ids = io.load_economy(in_dir, cfg.list_cap, cfg.capacities or ())
     matching = run_da(eco)
     warnings: dict[str, Any] = {}
+    tied = _tied_scores(eco)
+    if tied:
+        warnings["tied_scores"] = tied
     supplied_path = in_dir / "matching.csv"
     if supplied_path.exists():
         supplied = io.read_matching(supplied_path, ids)

@@ -19,7 +19,7 @@ import numpy as np
 from cutoffbounds import Economy, OUTSIDE
 from cutoffbounds.economy import (DGPConfig, EconomyError, EconomyTruth,
                                   _resolve_capacities, _unique_scores)
-from cutoffbounds.io import write_outcomes, write_rols, write_truth
+from cutoffbounds.io import write_outcomes, write_rols
 from cutoffbounds.mechanism import run_da
 from cutoffbounds.qsets import Regime
 
@@ -720,8 +720,8 @@ def reference_economy(cfg: DGPConfig) -> Economy:
 
 
 def reference_write_economy(out_dir: Path, eco: Economy) -> None:
-    """``io.write_economy`` with ``students.csv`` written a row of floats
-    at a time."""
+    """``io.write_economy`` with ``students.csv`` and ``truth.csv`` written
+    a row of Python numbers at a time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "students.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -733,4 +733,11 @@ def reference_write_economy(out_dir: Path, eco: Economy) -> None:
     write_rols(out_dir / "rols.csv", eco)
     if eco.y_observed is not None:
         write_outcomes(out_dir / "outcomes.csv", eco)
-    write_truth(out_dir / "truth.csv", eco)
+    J = eco.n_schools
+    with open(out_dir / "truth.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"q_{r}" for r in range(1, J + 2)]
+                        + [f"y_{d}" for d in range(J + 1)])
+        for i in range(eco.n_students):
+            writer.writerow([i] + eco.truth.pref_orders[i].tolist()
+                            + eco.truth.potential[i].tolist())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoffbounds import (
     DGPConfig,
@@ -19,6 +21,7 @@ from cutoffbounds import (
 from cutoffbounds.mechanism import MechanismError
 
 from oracles import all_stable_matchings, sequential_da, student_optimal
+from strategies import dgp_dicts
 
 
 def test_da_fixed_example(build_sd_economy):
@@ -41,6 +44,25 @@ def test_da_displacement_chain(build_sd_economy):
         capacities=[1, 1])
     m = run_da(eco)
     assert m.assignment == (0, 2, 1)
+
+
+def test_da_breaks_score_ties_by_student_position(build_sd_economy):
+    # students 0 and 1 tie at school 1; 1 holds the seat until 0, bumped
+    # from school 2 by student 2, arrives: the lower position wins, not
+    # the student who came first
+    eco = build_sd_economy(
+        scores=[80.0, 80.0, 90.0],
+        reports=[(2, 1), (1,), (2,)],
+        capacities=[1, 1])
+    m = run_da(eco)
+    assert m.assignment == (1, 0, 2)
+    assert audit_stability_wrt_reports(m, eco) == []
+    # the rejected student clears the lowest admitted score: at a tie the
+    # cutoff no longer separates admitted from rejected students
+    cuts = extract_cutoffs(m, eco)
+    assert cuts.cutoff(1) == 80.0
+    assert [(v.student, v.school)
+            for v in audit_cutoff_characterization(m, eco, cuts)] == [(1, 1)]
 
 
 def test_da_requires_reports():
@@ -77,6 +99,20 @@ def test_da_matches_one_proposal_at_a_time():
             n_students=40, n_schools=5, score_mode="correlated",
             seed=200 + seed))
         assert run_da(eco).assignment == sequential_da(eco)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_da_is_one_proposal_at_a_time_stable_and_cutoff_characterized(data):
+    raw = data.draw(dgp_dicts(max_students=200, max_schools=6))
+    raw["capacities"] = data.draw(st.lists(
+        st.integers(0, raw["n_students"] + 1),
+        min_size=raw["n_schools"], max_size=raw["n_schools"]))
+    eco = generate_economy(DGPConfig.from_dict(raw))
+    m = run_da(eco)
+    assert m.assignment == sequential_da(eco)
+    assert audit_stability_wrt_reports(m, eco) == []
+    assert audit_cutoff_characterization(m, eco, extract_cutoffs(m, eco)) == []
 
 
 def test_sd_equals_da_on_shared_score():

@@ -520,6 +520,32 @@ def test_ingest_recomputes_and_flags_mismatches(tmp_path, golden, capsys):
                                        "matching.csv"}
 
 
+def test_ingest_warns_about_tied_scores(tmp_path, capsys):
+    # independent score columns; student 3 gets student 7's score at
+    # school 2 only, so school 2 alone has two tied students
+    dgp = RunConfig(dgp={"n_students": 60, "n_schools": 3, "list_cap": 2,
+                         "score_mode": "independent"},
+                    seed=4, out_dir=str(tmp_path / "in"))
+    run_pipeline(dgp, stage="simulate")
+    src = tmp_path / "in"
+    cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
+                    capacities=list(resolve_source(dgp).economy.capacities))
+    assert main(["match", "--config", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["warnings"] == {}
+    assert "tied" not in capsys.readouterr().err
+
+    rows = list(csv.reader((src / "students.csv").read_text().splitlines()))
+    rows[1 + 3][2] = rows[1 + 7][2]
+    (src / "students.csv").write_text(
+        "".join(",".join(r) + "\n" for r in rows))
+    assert main(["match", "--config", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["warnings"] == {
+        "tied_scores": [{"school_id": 2, "tied_students": 2}]}
+    assert "tied scores at schools [2]" in capsys.readouterr().err
+
+
 def _shift_ids(src, dst, by):
     """Copy the input files of ``src`` into ``dst`` with every student id
     raised by ``by``."""
