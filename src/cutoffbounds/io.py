@@ -1,17 +1,20 @@
 """CSV and JSON plumbing: economies, matchings, cutoffs, run artifacts.
 
-Every input file is read the same way.  The header is parsed with the
-``csv`` module and checked.  The rest of the file goes to numpy's C reader
-(``np.loadtxt``), which parses the integer columns as int64 and, when the
-file has float columns, every column once more as float64; the columns
-are then checked as arrays.  The C reader declines some valid input that
-``csv`` with Python's ``int`` and ``float`` reads (quoted fields, ids
-beyond 64 bits, ``1_0``, non-ASCII digits), and any file where it would
-read something else: a row of the wrong width, a blank line in
-``students.csv``.  Then, and whenever a check on the arrays fails, the file
-is read again row by row.  That path accepts every valid file and names
-the first bad row of an invalid one, so both paths return the same values
-and raise the same errors.
+Every input file is read the same way.  The file is opened once; its
+header is parsed with the ``csv`` module and checked, and the same open
+file then goes line by line to numpy's C reader (``np.loadtxt``) in one
+pass, whose structured dtype parses the integer columns as int64 and the
+others as float64.  The file's text is never held whole.  The columns are
+then checked as arrays, and rows are matched to students by sorting ids
+(``_positions``) rather than through dicts.  The C reader declines some
+valid input that ``csv`` with Python's ``int`` and ``float`` reads (quoted
+fields, ids beyond 64 bits, ``1_0``, non-ASCII digits), and any file where
+it would read something else: a row of the wrong width, a blank line in
+``students.csv`` (numpy skips it, so it takes more lines than it returns
+rows).  Then, and whenever a check on the arrays fails, the file is read
+again row by row.  That path accepts every valid file and names the first
+bad row of an invalid one, so both paths return the same values and raise
+the same errors.
 
 Scores travel as one column per school even when schools share a column
 internally; reading infers the sharing structure back from exact column
@@ -31,11 +34,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
-from io import StringIO
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,7 +63,11 @@ def _parse_int(text: str, where: str) -> int:
         raise IngestError(f"{where}: not an integer: {text!r}") from None
 
 
-_CHECKED = {int: _parse_int, float: _parse_float}
+def _parse_finite(text: str, where: str) -> float:
+    value = _parse_float(text, where)
+    if not math.isfinite(value):
+        raise IngestError(f"{where}: not a finite number: {text!r}")
+    return value
 
 _ROLS_HEADER = ("id", "rank", "school_id")
 _OUTCOMES_HEADER = ("id", "y_observed")
@@ -107,67 +114,61 @@ def _text_rows(*blocks: np.ndarray):
         for lo in range(0, n, 512))
 
 
-def _split_header(path: Path) -> tuple[list[str] | None, str]:
-    """The header's fields (None for an empty file) and the text after it."""
+def _load_table(path: Path, expected: Sequence[str], n_int: int
+                ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``_load_body`` on a CSV file whose header must be ``expected``."""
     with open(path, newline="") as fh:
         head = next(csv.reader(fh), None)
-        return head, fh.read()
+        if (head or []) != list(expected):
+            raise IngestError(f"{path.name}: header {head or []} != expected"
+                              f" {list(expected)}")
+        return _load_body(fh, len(expected), n_int)
 
 
-def _table_body(path: Path, expected: Sequence[str]) -> str:
-    """The text after the header of a CSV file whose header must be
-    ``expected``."""
-    head, body = _split_header(path)
-    if (head or []) != list(expected):
-        raise IngestError(
-            f"{path.name}: header {head or []} != expected {list(expected)}")
-    return body
-
-
-def _body_rows(body: str, keep_blank: bool = False) -> list[list[str]]:
-    """The rows of ``body`` as ``csv`` reads them; a blank line is skipped,
-    or with ``keep_blank`` kept as ``[]``."""
-    rows = csv.reader(StringIO(body, newline=""))
-    return list(rows) if keep_blank else [row for row in rows if row]
-
-
-_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": None,
-            "ndmin": 2}
-
-
-def _load_body(body: str, n_fields: int, n_int: int, every_line: bool = False
+def _load_body(lines: Iterable[str], n_fields: int, n_int: int,
+               every_line: bool = False
                ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """``(ints, floats)``: the first ``n_int`` columns of ``body`` as int64
-    and, when there are more columns, all ``n_fields`` as float64 (else
-    None), parsed by numpy's C reader.
+    """``(ints, floats)``: ``lines`` parsed in one pass by numpy's C reader,
+    the first ``n_int`` of ``n_fields`` columns as int64 and the others as
+    float64 (None when there are none).
 
     None when that reader declines the text or a warning is raised, when a
     row is not ``n_fields`` wide, and with ``every_line`` when a line is
-    blank (numpy skips blank lines).  The caller then reads the rows one by
-    one.
+    blank (numpy skips blank lines, so it then takes more lines than it
+    returns rows).  The caller then reads the rows one by one.
     """
-    def load(dtype, **kw):
-        return np.loadtxt(StringIO(body), dtype=dtype, **_LOADTXT, **kw)
+    fields = [("ints", np.int64, (n_int,))]
+    if n_fields > n_int:
+        fields.append(("floats", np.float64, (n_fields - n_int,)))
+    taken = [0]
+
+    def counted():
+        for taken[0], line in enumerate(lines, start=1):
+            yield line
 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if n_int == n_fields:
-                ints, floats = load(np.int64), None
-            else:
-                floats = load(np.float64)
-                ints = load(np.int64, usecols=range(n_int))
+            table = np.loadtxt(counted() if every_line else lines,
+                               dtype=fields, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    if (floats if floats is not None else ints).shape[1] != n_fields:
+    if every_line and len(table) != taken[0]:
         return None
-    if every_line and len(ints) != (body.count("\n")
-                                    + (not body.endswith("\n"))):
-        return None
-    return ints, floats
+    return table["ints"], (table["floats"] if n_fields > n_int else None)
 
 
-def _numbered(path: Path, rows: Sequence[list[str]], n_fields: int):
+def _body_rows(path: Path, keep_blank: bool = False) -> Iterator[list[str]]:
+    """The rows after the header of ``path``, read anew as ``csv`` reads
+    them; a blank line is skipped, or with ``keep_blank`` kept as ``[]``."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows, None)
+        yield from (row for row in rows if row or keep_blank)
+
+
+def _numbered(path: Path, rows: Iterable[list[str]], n_fields: int):
     """``(where, row)`` per row, ``where`` naming the file and the row,
     once the row is known to have ``n_fields`` fields."""
     for ln, row in enumerate(rows, start=2):
@@ -187,31 +188,37 @@ def _positions(keys: np.ndarray, ids: Sequence[int]) -> np.ndarray | None:
     if not len(ids):
         return None
     order = np.argsort(ids, kind="stable")
-    at = order[np.minimum(np.searchsorted(ids[order], keys), len(ids) - 1)]
-    return at if np.array_equal(ids[at], keys) else None
+    ranked = ids[order]
+    at = np.searchsorted(ranked, keys)
+    if not np.array_equal(ranked.take(at, mode="clip"), keys):
+        return None
+    return order.take(at, mode="clip")
 
 
-def _read_keyed(path: Path, header: Sequence[str], kind: type,
+def _rows_of(keys: np.ndarray, ids: Sequence[int]) -> np.ndarray | None:
+    """The row of each of ``ids`` in a file whose key column is ``keys``;
+    None unless every key is one of ``ids`` and names a different one."""
+    at = _positions(keys, ids)
+    if at is None or len(at) != len(ids):
+        return None
+    rows = np.full(len(ids), -1)
+    rows[at] = np.arange(len(at))
+    return None if (rows < 0).any() else rows
+
+
+def _keyed_rows(path: Path, parse: Callable[[str, str], Any],
                 duplicate: str) -> dict[int, Any]:
-    """``{key: value}`` from a file of integer keys and ``kind`` values,
-    in file order.
+    """``{key: value}`` read row by row from a file of integer keys and
+    values that ``parse`` reads, in file order.
 
     ``duplicate`` is the message for a repeated key, formatted with it.
     """
-    body = _table_body(path, header)
-    cols = _load_body(body, 2, 2 if kind is int else 1)
-    if cols is not None:
-        ints, floats = cols
-        values = ints[:, 1] if floats is None else floats[:, 1]
-        out = dict(zip(ints[:, 0].tolist(), values.tolist()))
-        if len(out) == len(ints):
-            return out
     out = {}
-    for where, row in _numbered(path, _body_rows(body), 2):
+    for where, row in _numbered(path, _body_rows(path), 2):
         key = _parse_int(row[0], where)
         if key in out:
             raise IngestError(f"{where}: {duplicate.format(key)}")
-        out[key] = _CHECKED[kind](row[1], where)
+        out[key] = parse(row[1], where)
     return out
 
 
@@ -245,33 +252,45 @@ def write_students(path: Path, eco: Economy) -> None:
 
 
 def read_students(path: Path) -> tuple[list[int], np.ndarray]:
-    """Student ids plus per-school score matrix (n, J)."""
-    head, body = _split_header(path)
-    if head is None:
-        raise IngestError(f"{path.name}: empty file")
-    if not head or head[0] != "id" or len(head) < 2:
-        raise IngestError(f"{path.name}: header must be id,s_1..s_J")
-    want = _students_header(len(head) - 1)[1:]
-    if head[1:] != want:
-        raise IngestError(f"{path.name}: score columns must be {want}")
-    cols = _load_body(body, len(head), 1, every_line=True)
+    """Student ids plus per-school score matrix (n, J).
+
+    The matrix may be a view into the parsed table rather than a copy: at
+    one column per school, a copy would double the reader's memory.
+    """
+    with open(path, newline="") as fh:
+        head = next(csv.reader(fh), None)
+        if head is None:
+            raise IngestError(f"{path.name}: empty file")
+        if not head or head[0] != "id" or len(head) < 2:
+            raise IngestError(f"{path.name}: header must be id,s_1..s_J")
+        want = _students_header(len(head) - 1)[1:]
+        if head[1:] != want:
+            raise IngestError(f"{path.name}: score columns must be {want}")
+        cols = _load_body(fh, len(head), 1, every_line=True)
     if cols is not None:
-        ids = cols[0][:, 0].tolist()
-        scores = np.ascontiguousarray(cols[1][:, 1:])
-    else:
-        types = (int,) + (float,) * (len(head) - 1)
-        columns = [[] for _ in types]
-        for where, row in _numbered(path, _body_rows(body, keep_blank=True),
-                                    len(head)):
-            for col, t, text in zip(columns, types, row):
-                col.append(_CHECKED[t](text, where))
-        ids = columns[0]
-        scores = np.array(columns[1:]).T.copy()
-    if not ids:
+        ids, scores = cols[0][:, 0], cols[1]
+        ranked = np.sort(ids)
+        if np.isfinite(scores).all() and (ranked[1:] != ranked[:-1]).all():
+            return ids.tolist(), scores
+    return _students_by_rows(path, len(head))
+
+
+def _students_by_rows(path: Path, n_fields: int
+                      ) -> tuple[list[int], np.ndarray]:
+    """``read_students`` row by row: the first bad row is the one named."""
+    first: dict[int, int] = {}
+    scores = []
+    rows = _numbered(path, _body_rows(path, keep_blank=True), n_fields)
+    for ln, (where, row) in enumerate(rows, start=2):
+        sid = _parse_int(row[0], where)
+        if sid in first:
+            raise IngestError(f"{where}: duplicate student id {sid}"
+                              f" (first at row {first[sid]})")
+        first[sid] = ln
+        scores.append([_parse_finite(text, where) for text in row[1:]])
+    if not first:
         raise IngestError(f"{path.name}: no students")
-    if len(set(ids)) != len(ids):
-        raise IngestError(f"{path.name}: duplicate student ids")
-    return ids, scores
+    return list(first), np.array(scores)
 
 
 def infer_score_groups(per_school: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -312,40 +331,66 @@ def read_rols(path: Path, ids: Sequence[int],
     once; only when a check fails are the rows read one by one, which
     finds the failing row or student and names it.
     """
-    body = _table_body(path, _ROLS_HEADER)
-    cols = _load_body(body, 3, 3)
-    reports = None if cols is None else _rols_by_columns(
-        cols[0], ids, n_schools, list_cap)
+    reports = _rols_by_columns(path, ids, n_schools, list_cap)
     if reports is None:
-        reports = _rols_by_rows(path, _body_rows(body), ids, n_schools,
+        reports = _rols_by_rows(path, _body_rows(path), ids, n_schools,
                                 list_cap)
     return reports
 
 
-def _rols_by_columns(table, ids, n_schools, list_cap):
-    """The lists from the (rows, 3) int array of ``rols.csv``, or None when
-    any row or list fails a check."""
-    owner = _positions(table[:, 0], ids)
-    if owner is None:
-        return None                            # unknown student id
+def _rols_by_columns(path, ids, n_schools, list_cap):
+    """The lists from numpy's parse of ``rols.csv``, or None when numpy
+    declines the file or any row or list fails a check.
+
+    Each row becomes one int64 key, (position of the student, rank, school)
+    in mixed radix, and the parsed table is dropped once the keys are made.
+    Sorting the keys in place orders the rows by student and rank, and the
+    checks and the lists are read off the sorted keys, so about two
+    row-length arrays are alive at once.
+    """
+    cols = _load_table(path, _ROLS_HEADER, 3)
+    if cols is None:
+        return None
+    table = cols[0]
     rank, school = table[:, 1], table[:, 2]
-    if (rank.min() < 1 or rank.max() > list_cap
+    # a rank above the row count cannot be in a list 1..length; so bounded,
+    # a key is below students x (rows + 1) x (schools + 1), within int64 for
+    # any files that fit in memory
+    width = min(list_cap, len(table)) + 1
+    if (rank.min() < 1 or rank.max() >= width
             or school.min() < 1 or school.max() > n_schools):
         return None
-    order = np.lexsort((rank, owner))
-    owner, rank, school = owner[order], rank[order], school[order]
-    counts = np.bincount(owner, minlength=len(ids))
+    key = _positions(table[:, 0], ids)
+    if key is None:
+        return None                            # unknown student id
+    key *= width
+    key += rank
+    key *= n_schools + 1
+    key += school
+    del cols, table, rank, school
+    key.sort()
+    counts = np.bincount(key // (width * (n_schools + 1)),
+                         minlength=len(ids))
     if not counts.all():
         return None                            # a student without rows
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    if not np.array_equal(rank - 1, np.arange(len(rank)) - first):
+    school = key % (n_schools + 1)
+    key //= n_schools + 1                      # student, then rank
+    # sorted row k, student i's (k - starts[i])-th, has rank k - starts[i] + 1
+    starts = np.cumsum(counts) - counts
+    expect = np.repeat(np.arange(len(ids)) * width + 1 - starts, counts)
+    expect += np.arange(len(key))
+    if not np.array_equal(key, expect):
         return None                            # ranks not 1..length
-    listed = np.sort(owner * (n_schools + 1) + school)
-    if (listed[1:] == listed[:-1]).any():
+    del expect, starts
+    key //= width                              # the student
+    key *= n_schools + 1
+    key += school
+    key.sort()
+    if (key[1:] == key[:-1]).any():
         return None                            # a school listed twice
-    flat = school.tolist()
-    ends = np.cumsum(counts).tolist()
-    return tuple([tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+    del key
+    flat = iter(school.tolist())
+    return tuple([tuple(islice(flat, c)) for c in counts.tolist()])
 
 
 def _rols_by_rows(path, rows, ids, n_schools, list_cap):
@@ -398,7 +443,12 @@ def write_outcomes(path: Path, eco: Economy) -> None:
 
 
 def read_outcomes(path: Path, ids: Sequence[int]) -> np.ndarray:
-    seen = _read_keyed(path, _OUTCOMES_HEADER, float,
+    cols = _load_table(path, _OUTCOMES_HEADER, 1)
+    if cols is not None:
+        rows = _rows_of(cols[0][:, 0], ids)
+        if rows is not None and np.isfinite(cols[1]).all():
+            return cols[1][rows, 0]
+    seen = _keyed_rows(path, _parse_finite,
                        "duplicate outcome for student {}")
     _check_students(path, seen, ids, "no outcome for students")
     return np.array([seen[sid] for sid in ids])
@@ -415,20 +465,17 @@ def write_truth(path: Path, eco: Economy) -> None:
 def read_truth(path: Path, ids: Sequence[int], n_schools: int) -> EconomyTruth:
     J = n_schools
     head = _truth_header(J)
-    body = _table_body(path, head)
-    cols = _load_body(body, len(head), J + 2)
+    cols = _load_table(path, head, J + 2)
     if cols is not None:
-        ints, floats = cols
-        row_of = dict(zip(ints[:, 0].tolist(), range(len(ints))))
-        if (len(row_of) == len(ints)
+        ints, potential = cols
+        rows = _rows_of(ints[:, 0], ids)
+        if (rows is not None
                 and (np.sort(ints[:, 1:], axis=1) == np.arange(J + 1)).all()):
-            _check_students(path, row_of, ids, "no truth row for students")
-            rows = [row_of[s] for s in ids]
             return EconomyTruth(pref_orders=ints[rows, 1:],
-                                potential=floats[rows, J + 2:])
+                                potential=potential[rows])
     orders: dict[int, list[int]] = {}
     pots: dict[int, list[float]] = {}
-    for where, row in _numbered(path, _body_rows(body), len(head)):
+    for where, row in _numbered(path, _body_rows(path), len(head)):
         sid = _parse_int(row[0], where)
         if sid in orders:
             raise IngestError(
@@ -451,8 +498,12 @@ def write_matching(path: Path, assignment: Sequence[int],
 
 
 def read_matching(path: Path, ids: Sequence[int]) -> np.ndarray:
-    seen = _read_keyed(path, _MATCHING_HEADER, int,
-                       "duplicate assignment for {}")
+    cols = _load_table(path, _MATCHING_HEADER, 2)
+    if cols is not None:
+        rows = _rows_of(cols[0][:, 0], ids)
+        if rows is not None:
+            return cols[0][rows, 1]
+    seen = _keyed_rows(path, _parse_int, "duplicate assignment for {}")
     _check_students(path, seen, ids, "no assignment for students")
     return np.array([seen[sid] for sid in ids])
 
@@ -463,8 +514,12 @@ def write_cutoffs(path: Path, values: Mapping[int, float]) -> None:
 
 
 def read_cutoffs(path: Path) -> dict[int, float]:
-    return _read_keyed(path, _CUTOFFS_HEADER, float,
-                       "duplicate school {}")
+    cols = _load_table(path, _CUTOFFS_HEADER, 1)
+    if cols is not None:
+        out = dict(zip(cols[0][:, 0].tolist(), cols[1][:, 0].tolist()))
+        if len(out) == len(cols[0]):
+            return out
+    return _keyed_rows(path, _parse_float, "duplicate school {}")
 
 
 # ---------------------------------------------------------------------------

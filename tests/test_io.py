@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +31,7 @@ from cutoffbounds.io import (
     read_rols,
     read_students,
     read_truth,
+    write_csv,
     write_cutoffs,
     write_economy,
     write_matching,
@@ -197,6 +199,57 @@ def test_students_rejects_bad_rows(tmp_path):
     p.write_text("id,s_1\n")
     with pytest.raises(IngestError, match="no students"):
         read_students(p)
+
+
+ROW_BY_ROW = {"numpy first": False, "rows only": True}
+
+
+@pytest.mark.parametrize("rows_only", ROW_BY_ROW.values(), ids=ROW_BY_ROW)
+def test_students_duplicate_id_names_both_rows(tmp_path, monkeypatch,
+                                               rows_only):
+    if rows_only:
+        monkeypatch.setattr(cio, "_load_body", lambda *a, **k: None)
+    p = tmp_path / "students.csv"
+    p.write_text("id,s_1\n0,1.0\n1,2.0\n0,3.0\n1,4.0\n")
+    with pytest.raises(IngestError, match=r"^students\.csv row 4: duplicate"
+                       r" student id 0 \(first at row 2\)$"):
+        read_students(p)
+
+
+@pytest.mark.parametrize("rows_only", ROW_BY_ROW.values(), ids=ROW_BY_ROW)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_scores_and_outcomes_name_the_row(tmp_path, monkeypatch,
+                                                     rows_only, text):
+    if rows_only:
+        monkeypatch.setattr(cio, "_load_body", lambda *a, **k: None)
+    students = tmp_path / "students.csv"
+    students.write_text(f"id,s_1,s_2\n0,1.0,2.0\n1,3.0,{text}\n")
+    with pytest.raises(IngestError, match=rf"^students\.csv row 3: not a"
+                       rf" finite number: '{text}'$"):
+        read_students(students)
+    outcomes = tmp_path / "outcomes.csv"
+    outcomes.write_text(f"id,y_observed\n1,{text}\n0,1.0\n")
+    with pytest.raises(IngestError, match=rf"^outcomes\.csv row 2: not a"
+                       rf" finite number: '{text}'$"):
+        read_outcomes(outcomes, ids=[0, 1])
+
+
+def test_read_students_memory_follows_the_parsed_arrays(tmp_path):
+    # tracemalloc counts numpy's buffers too; holding the file's text, as a
+    # string or a StringIO, would cost several times the file's size
+    n, J = 20_000, 4
+    scores = np.random.default_rng(0).uniform(0.0, 1000.0, (n, J))
+    p = tmp_path / "students.csv"
+    write_csv(p, cio._students_header(J),
+              zip(range(n), *(col.tolist() for col in scores.T)))
+    tracemalloc.start()
+    try:
+        ids, got = read_students(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids == list(range(n)) and np.array_equal(got, scores)
+    assert peak < 2.5 * p.stat().st_size
 
 
 def test_students_blank_line_is_a_row(tmp_path):
@@ -537,8 +590,18 @@ def test_valid_files_take_the_numpy_reader(tmp_path, monkeypatch):
 
     for name in ("_body_rows", "_numbered", "_rols_by_rows"):
         monkeypatch.setattr(cio, name, refuse)
+    # and each file is parsed in one pass
+    passes = []
+    loadtxt = np.loadtxt
+
+    def counted_loadtxt(*args, **kwargs):
+        passes.append(True)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
     eco, ids = load_economy(tmp_path, list_cap=want.economy.list_cap,
                             capacities=want.economy.capacities)
+    assert len(passes) == 4          # students, rols, outcomes, truth
     assert ids == list(range(1000))
     assert eco.score_groups == want.economy.score_groups == (0, 1, 2, 3)
     assert np.array_equal(eco.score_cols, want.economy.score_cols)
@@ -549,8 +612,10 @@ def test_valid_files_take_the_numpy_reader(tmp_path, monkeypatch):
     assert np.array_equal(eco.truth.potential, want.economy.truth.potential)
     assert np.array_equal(read_matching(tmp_path / "matching.csv", ids),
                           want.assignment)
+    assert len(passes) == 5
     assert read_cutoffs(tmp_path / "cutoffs.csv") == {
         j: want.cutoffs.cutoff(j) for j in range(1, 5)}
+    assert len(passes) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -702,6 +702,34 @@ def test_ingest_rejects_unknown_and_repeated_students(tmp_path, golden, capsys,
     assert f"{name} row {row}: {message}" in capsys.readouterr().err
 
 
+def _set_field(path, row, field, text):
+    """Put ``text`` in field ``field`` of row ``row``, counting the header
+    as row 1."""
+    lines = path.read_text().splitlines()
+    fields = lines[row - 1].split(",")
+    fields[field] = text
+    lines[row - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, field", [("students.csv", 3),
+                                         ("outcomes.csv", 1)])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_ingest_rejects_non_finite_scores_and_outcomes(tmp_path, golden,
+                                                       capsys, name, field,
+                                                       text):
+    # unchecked, a NaN score is ranked below every other one by the
+    # matching, and a NaN or infinite outcome makes the window LPs fail
+    src = tmp_path / "in"
+    write_economy(src, golden.economy)
+    _set_field(src / name, 10, field, text)
+    cfg = _cfg_file(tmp_path, preset=None, input_dir=str(src),
+                    capacities=list(golden.economy.capacities))
+    assert main(["bounds", "--config", str(cfg)]) == 2
+    assert f"{name} row 10: not a finite number: '{text}'" in \
+        capsys.readouterr().err
+
+
 def test_ingest_without_outcomes_is_a_config_error(tmp_path, golden, capsys):
     src = tmp_path / "in"
     write_economy(src, golden.economy)
