@@ -25,7 +25,7 @@ _STAGE_HELP = {
     "match": "run the mechanism; write matching.csv and cutoffs.csv",
     "pairs": "discover comparable pairs; write pairs.csv",
     "qsets": "emit per-student candidate sets; write qsets.csv",
-    "identify": "containment analysis and trimming shares; write identify.json",
+    "identify": "containment analysis; write windows.json and identify.json",
     "bounds": "effect bounds per pair, regime, and outcome; write bounds.json",
     "report": "aggregate bounds.json into summary tables",
 }

@@ -38,7 +38,7 @@ class IdentifyError(ValueError):
 
 
 class ClosureCapError(IdentifyError):
-    """A side's connected unions outgrew the configured cap."""
+    """A side's connected unions outgrew ``CLOSURE_CAP``."""
 
 
 class FalsificationSignal(RuntimeError):
@@ -121,8 +121,12 @@ def _canon(sets: Iterable[PairSet]) -> tuple[PairSet, ...]:
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
+# the most connected unions one side of a window may have
+CLOSURE_CAP = 4096
+
+
 def connected_unions(members: Iterable[PairSet],
-                     cap: int = 4096) -> tuple[PairSet, ...]:
+                     cap: int = CLOSURE_CAP) -> tuple[PairSet, ...]:
     """The unions of connected subfamilies of ``members``.
 
     Starting from the distinct members, a kept union grows by a member that
@@ -163,8 +167,7 @@ class SupportFamily:
     closure: tuple[PairSet, ...]
 
 
-def support_family(obs: Sequence[LocalObs], side: str,
-                   cap: int = 4096) -> SupportFamily:
+def support_family(obs: Sequence[LocalObs], side: str) -> SupportFamily:
     if not obs:
         raise IdentifyError("empty side")
     members = _canon({o.qset for o in obs})
@@ -172,7 +175,7 @@ def support_family(obs: Sequence[LocalObs], side: str,
         if not s:
             raise IdentifyError("empty candidate set in support")
     try:
-        closure = connected_unions(members, cap=cap)
+        closure = connected_unions(members, cap=CLOSURE_CAP)
     except ClosureCapError as exc:
         raise ClosureCapError(f"{side} side: {exc}") from None
     return SupportFamily(members=members, closure=closure)
@@ -225,10 +228,9 @@ class ContainmentStats:
         return containment_rows(self.weights, self.total, [cell])[cell]
 
 
-def containment_stats(obs: Sequence[LocalObs], side: str,
-                      cap: int = 4096) -> ContainmentStats:
+def containment_stats(obs: Sequence[LocalObs], side: str) -> ContainmentStats:
     """Empirical (or exact, if weighted) containment probabilities."""
-    fam = support_family(obs, side, cap=cap)
+    fam = support_family(obs, side)
     tot = total_weight(obs)
     if tot <= 0:
         raise IdentifyError("empty side")

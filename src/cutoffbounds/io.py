@@ -297,17 +297,20 @@ def infer_score_groups(per_school: np.ndarray) -> tuple[tuple[int, ...], np.ndar
     """Collapse identical score columns into shared groups.
 
     Returns the per-school group index plus the deduplicated column matrix.
+    A column is compared only with kept columns of its digest, taken after
+    adding 0.0, which turns -0.0 into 0.0 as ``np.array_equal`` sees it.
     """
     groups: list[int] = []
     kept: list[int] = []
-    for j in range(per_school.shape[1]):
-        for g, ref in enumerate(kept):
-            if np.array_equal(per_school[:, j], per_school[:, ref]):
-                groups.append(g)
-                break
-        else:
-            groups.append(len(kept))
+    by_digest: dict[bytes, list[int]] = {}
+    for j, col in enumerate(per_school.T):
+        same = by_digest.setdefault(hashlib.sha256(col + 0.0).digest(), [])
+        g = next((g for g in same
+                  if np.array_equal(col, per_school[:, kept[g]])), len(kept))
+        if g == len(kept):
             kept.append(j)
+            same.append(g)
+        groups.append(g)
     return tuple(groups), per_school[:, kept]
 
 

@@ -1,15 +1,17 @@
 """End-to-end orchestration: config, staged artifacts, run manifest.
 
 One run walks simulate/ingest -> match -> pairs -> qsets -> identify ->
-bounds, writing each stage's artifact into the output directory.  Every
+bounds, writing each stage's artifact into the output directory.  Each
+(school, regime) window is identified once, into ``windows.json``; each of
+its (school, fallback) pairs is a query on it, in ``identify.json``.  Every
 (pair, regime, outcome) combination gets a status in the manifest: ``ok``,
 ``falsified`` when the containment inequalities reject the assumed
 reporting discipline, ``skipped-empty-side`` when a window side has
 nobody in it, or ``skipped-closure-cap`` (with a ``reason``) when a side's
-connected unions of candidate sets outgrow ``closure_cap``.  Neither
-falsification nor a skipped combination aborts the run; wall-clock numbers
-go to a separate timing file so the analytical artifacts are byte-stable
-across reruns.
+connected unions of candidate sets outgrow ``identify.CLOSURE_CAP``.
+Neither falsification nor a skipped combination aborts the run; wall-clock
+numbers go to a separate timing file so the analytical artifacts are
+byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from . import io
 from .bounds import (BoundsError, IDENTITY, OutcomeTransform, effect_bounds,
                      hm_side_bounds, naive_rd, pair_subpop, sharp_bounds_finite)
 from .economy import DGPConfig, Economy, generate_economy, observe_outcomes
-from .identify import (ClosureCapError, ContainmentStats, FalsificationSignal,
-                       LocalObs, build_polytope, containment_stats,
-                       delta_bounds, falsification_test, local_obs)
+from .identify import (ClosureCapError, ContainmentStats, DistPolytope,
+                       FalsificationSignal, LocalObs, build_polytope,
+                       containment_stats, delta_bounds, falsification_test,
+                       local_obs)
 from .localpref import (ComparablePair, LocalSample, comparable_pairs,
                         local_samples)
 from .mechanism import CutoffProfile, extract_cutoffs, run_da
@@ -104,7 +107,6 @@ _READERS = {
     "capacities": _listed(int), "list_cap": int, "sample_n": int,
     "bandwidth": float, "min_local_n": int, "regimes": _listed(_text),
     "outcomes": _listed(_outcome), "seed": int, "out_dir": _text,
-    "closure_cap": int,
 }
 
 
@@ -124,7 +126,6 @@ class RunConfig:
     outcomes: tuple[Any, ...] = ("identity",)
     seed: int = 0
     out_dir: str = "out"
-    closure_cap: int = 4096
     falsification_action: str = "error"
 
     def __post_init__(self) -> None:
@@ -311,10 +312,6 @@ def resolve_source(cfg: RunConfig) -> RunData:
 # per-combination analysis
 
 
-def _pair_key(pair: ComparablePair) -> tuple[int, int]:
-    return (pair.school, pair.fallback)
-
-
 def _serialize_qset(qset: frozenset) -> str:
     return "|".join(f"{a}:{b}" for a, b in sorted(qset))
 
@@ -346,33 +343,36 @@ class ComboResult:
 
 @dataclass(frozen=True)
 class _Window:
-    """One school's window under one regime, shared by all its pairs.
+    """One school's window under one regime, shared by all its pairs: its
+    records, containment statistics, ``windows.json`` side payloads and
+    polytope.  ``status`` is "ok" or "skipped-closure-cap" (then with a
+    ``reason`` and nothing but the records)."""
 
-    ``status`` is "ok" or "skipped-closure-cap" (then with a ``reason``
-    and no containment statistics).
-    """
-
-    sample: LocalSample
     obs_plus: list[LocalObs]
     obs_minus: list[LocalObs]
-    stats_plus: ContainmentStats | None
-    stats_minus: ContainmentStats | None
+    stats_plus: ContainmentStats | None = None
+    stats_minus: ContainmentStats | None = None
+    plus: dict[str, Any] | None = None
+    minus: dict[str, Any] | None = None
+    poly: DistPolytope | None = None
     status: str = "ok"
     reason: str | None = None
 
 
-def _build_window(eco: Economy, sample: LocalSample, qsets: WindowQsets,
-                  closure_cap: int) -> _Window:
+def _build_window(eco: Economy, sample: LocalSample,
+                  qsets: WindowQsets) -> _Window:
     obs_plus, obs_minus = local_obs(eco, sample, qsets)
     try:
-        stats_plus = (containment_stats(obs_plus, "plus", cap=closure_cap)
-                      if obs_plus else None)
-        stats_minus = (containment_stats(obs_minus, "minus", cap=closure_cap)
+        stats_plus = containment_stats(obs_plus, "plus") if obs_plus else None
+        stats_minus = (containment_stats(obs_minus, "minus")
                        if obs_minus else None)
     except ClosureCapError as exc:
-        return _Window(sample, obs_plus, obs_minus, None, None,
-                       status="skipped-closure-cap", reason=str(exc))
-    return _Window(sample, obs_plus, obs_minus, stats_plus, stats_minus)
+        return _Window(obs_plus, obs_minus, status="skipped-closure-cap",
+                       reason=str(exc))
+    return _Window(obs_plus, obs_minus, stats_plus, stats_minus,
+                   _side_payload(stats_plus, sample.n_plus),
+                   _side_payload(stats_minus, sample.n_minus),
+                   build_polytope(stats_plus, stats_minus))
 
 
 def _analyze_pairs(eco: Economy, pairs: Sequence[ComparablePair],
@@ -380,46 +380,56 @@ def _analyze_pairs(eco: Economy, pairs: Sequence[ComparablePair],
                    qsets: Mapping[tuple[int, str], WindowQsets],
                    regimes: Sequence[Regime],
                    outcomes: Sequence[OutcomeTransform],
-                   closure_cap: int) -> list[ComboResult]:
-    """Every (pair, regime) combination, pair-major.
+                   ) -> tuple[list[dict[str, Any]], list[ComboResult]]:
+    """The ``windows.json`` entry of every (school, regime) window, and
+    every (pair, regime) combination, pair-major.
 
     Pairs arrive grouped by school; each school's window is built once per
     regime, from the candidate sets the qsets stage derived, and analysed
     for all of that school's pairs, then dropped.
     """
+    windows: list[dict[str, Any]] = []
     results: list[ComboResult] = []
     for school, group in itertools.groupby(pairs, key=lambda p: p.school):
         group = list(group)
         by_regime = []
         for regime in regimes:
             window = _build_window(eco, samples[school],
-                                   qsets[school, regime.label],
-                                   closure_cap)
+                                   qsets[school, regime.label])
+            windows.append({"school": school, "regime": regime.label,
+                            "plus": window.plus, "minus": window.minus})
             by_regime.append([analyze_combo(eco, p, regime, window, outcomes)
                               for p in group])
         results.extend(r for per_pair in zip(*by_regime) for r in per_pair)
-    return results
+    return windows, results
+
+
+# identify.json block field -> DeltaBounds attribute; null without bounds
+_DELTA_FIELDS = {"p_lower": "p_lower", "p_upper": "p_upper",
+                 "denominator_plus": "denom_plus",
+                 "denominator_minus": "denom_minus",
+                 "delta_bar_plus": "delta_plus",
+                 "delta_bar_minus": "delta_minus"}
 
 
 def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
                   window: _Window,
                   outcomes: Sequence[OutcomeTransform]) -> ComboResult:
-    jk = _pair_key(pair)
+    """The pair's query on its window: partition checks, share bounds over
+    the window's polytope, and bounds entries."""
+    jk = (pair.school, pair.fallback)
     obs_plus, obs_minus = window.obs_plus, window.obs_minus
-    stats_plus, stats_minus = window.stats_plus, window.stats_minus
     status = window.status
 
     identify_block: dict[str, Any] = {
         "pair": list(jk),
         "regime": regime.label,
-        "plus": _side_payload(stats_plus, window.sample.n_plus),
-        "minus": _side_payload(stats_minus, window.sample.n_minus),
         "falsification": None,
     }
     delta = None
     if status == "ok":
-        fals = falsification_test(stats_plus, stats_minus, eco.n_schools,
-                                  pair=jk)
+        fals = falsification_test(window.stats_plus, window.stats_minus,
+                                  eco.n_schools, pair=jk)
         identify_block["falsification"] = {
             "passed": fals.passed,
             "infeasible": False,
@@ -431,8 +441,7 @@ def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
             status = "falsified"
         else:
             try:
-                poly = build_polytope(stats_plus, stats_minus)
-                delta = delta_bounds(poly, jk, obs_plus, obs_minus)
+                delta = delta_bounds(window.poly, jk, obs_plus, obs_minus)
             except FalsificationSignal:
                 status = "falsified"
                 identify_block["falsification"]["passed"] = False
@@ -440,26 +449,11 @@ def analyze_combo(eco: Economy, pair: ComparablePair, regime: Regime,
     if status == "ok" and (not obs_plus or not obs_minus):
         status = "skipped-empty-side"
 
-    if delta is not None:
-        identify_block.update({
-            "p_lower": delta.p_lower, "p_upper": delta.p_upper,
-            "denominator_plus": delta.denom_plus,
-            "denominator_minus": delta.denom_minus,
-            "delta_bar_plus": delta.delta_plus,
-            "delta_bar_minus": delta.delta_minus,
-        })
-    else:
-        identify_block.update({
-            "p_lower": None, "p_upper": None,
-            "denominator_plus": None, "denominator_minus": None,
-            "delta_bar_plus": None, "delta_bar_minus": None,
-        })
+    identify_block.update({key: getattr(delta, name, None)
+                           for key, name in _DELTA_FIELDS.items()})
 
-    entries = []
-    for g in outcomes:
-        entries.extend(
-            _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
-                            stats_plus, stats_minus, pair))
+    entries = [e for g in outcomes for e in _bounds_entries(
+        jk, regime, g, status, delta, window, pair)]
     return ComboResult(pair=jk, regime=regime.label, status=status,
                        identify=identify_block, entries=entries,
                        reason=window.reason)
@@ -483,14 +477,15 @@ def _base_entry(jk, regime, g, pair, delta) -> dict[str, Any]:
     }
 
 
-def _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
-                    stats_plus, stats_minus, pair) -> list[dict[str, Any]]:
+def _bounds_entries(jk, regime, g, status, delta, window,
+                    pair) -> list[dict[str, Any]]:
     hm_entry = _base_entry(jk, regime, g, pair, delta)
     hm_entry["method"] = "hm"
     sharp_entry = _base_entry(jk, regime, g, pair, delta)
     sharp_entry["method"] = "sharp-lp"
     if status != "ok":
         return [hm_entry, sharp_entry]
+    obs_plus, obs_minus = window.obs_plus, window.obs_minus
 
     naive = None
     try:
@@ -506,8 +501,8 @@ def _bounds_entries(jk, regime, g, status, delta, obs_plus, obs_minus,
         eff = effect_bounds(plus, minus)
         _fill(hm_entry, eff, naive)
     try:
-        sharp = sharp_bounds_finite(obs_plus, obs_minus, stats_plus,
-                                    stats_minus, jk, g)
+        sharp = sharp_bounds_finite(obs_plus, obs_minus, window.stats_plus,
+                                    window.stats_minus, jk, g)
         _fill(sharp_entry, sharp, naive)
     except BoundsError:
         pass          # unbounded support; the hm entry still stands
@@ -572,7 +567,7 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
                  ["school", "fallback", "n_local", "n_plus", "n_minus"],
                  ((p.school, p.fallback, p.n_local, p.n_plus, p.n_minus)
                   for p in pairs))
-    manifest["pairs"] = [list(_pair_key(p)) for p in pairs]
+    manifest["pairs"] = [[p.school, p.fallback] for p in pairs]
     timings["pairs"] = time.perf_counter() - t
     if depth < 3:
         _finish_run(out_dir, manifest, timings, t0)
@@ -599,12 +594,12 @@ def run_pipeline(cfg: RunConfig, stage: str = "bounds") -> dict[str, Any]:
             f" stage {stage!r} needs observed outcomes")
     t = time.perf_counter()
     outcomes = tuple(parse_outcome(s) for s in cfg.outcomes)
-    results = _analyze_pairs(eco, pairs, samples, qsets, regimes, outcomes,
-                             cfg.closure_cap)
+    windows, results = _analyze_pairs(eco, pairs, samples, qsets, regimes,
+                                      outcomes)
     timings["analyze"] = time.perf_counter() - t
 
-    identify_doc = [r.identify for r in results]
-    io.dump_json(out_dir / "identify.json", identify_doc)
+    io.dump_json(out_dir / "windows.json", windows)
+    io.dump_json(out_dir / "identify.json", [r.identify for r in results])
     statuses = []
     for r in results:
         for g in outcomes:

@@ -741,3 +741,23 @@ def reference_write_economy(out_dir: Path, eco: Economy) -> None:
         for i in range(eco.n_students):
             writer.writerow([i] + eco.truth.pref_orders[i].tolist()
                             + eco.truth.potential[i].tolist())
+
+
+# ---------------------------------------------------------------------------
+# shared score columns: compare each column with every kept one
+
+
+def reference_infer_score_groups(per_school: np.ndarray
+                                 ) -> tuple[tuple[int, ...], np.ndarray]:
+    """``io.infer_score_groups`` as a loop over every kept column."""
+    groups: list[int] = []
+    kept: list[int] = []
+    for j in range(per_school.shape[1]):
+        for g, ref in enumerate(kept):
+            if np.array_equal(per_school[:, j], per_school[:, ref]):
+                groups.append(g)
+                break
+        else:
+            groups.append(len(kept))
+            kept.append(j)
+    return tuple(groups), per_school[:, kept]

@@ -37,6 +37,7 @@ from cutoffbounds.io import (
     write_matching,
 )
 from cutoffbounds.pipeline import RunConfig, resolve_source, run_pipeline
+from oracles import reference_infer_score_groups
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,27 @@ def test_infer_groups_mixed():
     groups, cols = infer_score_groups(m)
     assert groups == (0, 1, 0)
     assert np.array_equal(cols, m[:, :2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 4), distinct=st.integers(1, 5),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+       seed=st.integers(0, 2**16), as_int=st.booleans())
+def test_infer_groups_agrees_with_comparing_every_kept_column(
+        rows, distinct, picks, seed, as_int):
+    # few distinct columns, repeated and with zeros of either sign, so
+    # columns equal under np.array_equal need not share their bytes
+    rng = np.random.default_rng(seed)
+    base = rng.choice([-1.0, -0.0, 0.0, 2.5], size=(rows, distinct))
+    m = base[:, [p % distinct for p in picks]]
+    m = np.where((m == 0) & (rng.random(m.shape) < 0.5), -m, m)
+    if as_int:
+        m = m.astype(np.int64)
+    groups, cols = infer_score_groups(m)
+    want_groups, want_cols = reference_infer_score_groups(m)
+    assert groups == want_groups
+    assert cols.dtype == want_cols.dtype and cols.shape == want_cols.shape
+    assert cols.tobytes() == want_cols.tobytes()
 
 
 def test_capacity_count_must_match(golden, tmp_path):

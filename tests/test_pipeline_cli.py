@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutoffbounds import localpref, pipeline, qsets
+from cutoffbounds import identify, localpref, pipeline, qsets
 from cutoffbounds.cli import main
 from cutoffbounds.identify import (build_polytope, collect_local_obs,
                                    containment_stats, delta_bounds,
@@ -33,7 +33,7 @@ from strategies import dgp_dicts
 
 ARTIFACTS = ("students.csv", "rols.csv", "outcomes.csv", "truth.csv",
              "matching.csv", "cutoffs.csv", "pairs.csv", "qsets.csv",
-             "identify.json", "bounds.json", "manifest.json")
+             "windows.json", "identify.json", "bounds.json", "manifest.json")
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,8 @@ def test_config_echo_names_the_source_keys_it_reads(source, echoed):
 
 @pytest.mark.parametrize("payload, message", [
     ({"preset": "golden-sd", "list_cap": "three"}, "config key 'list_cap'"),
-    ({"preset": "golden-sd", "closure_cap": None}, "config key 'closure_cap'"),
+    ({"preset": "golden-sd", "closure_cap": 1},
+     "unknown config keys: .*'closure_cap'"),
     ({"preset": "golden-sd", "bandwidth": "wide"}, "config key 'bandwidth'"),
     ({"input_dir": "x", "capacities": 5}, "config key 'capacities'"),
     ({"preset": "golden-sd",
@@ -225,6 +226,15 @@ def test_readme_config_schema_names_every_accepted_key():
         [*pipeline._READERS, *(f"falsification.{k}" for k in nested)])
 
 
+def test_readme_artifact_list_names_every_file_a_run_writes(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Artifacts\n")[1]
+    named = re.findall(r"`([^`]+)`", section.strip().split("\n\n")[0])
+    run_pipeline(RunConfig(preset="golden-sd", out_dir=str(tmp_path)))
+    write_report(tmp_path)
+    assert sorted(named) == sorted(p.name for p in tmp_path.iterdir())
+
+
 def test_readme_library_example_prints_its_comment_lines(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("## Library use")[1]
@@ -264,8 +274,12 @@ def test_golden_identify_artifact(tmp_path):
     for blk in blocks.values():
         assert blk["pair"] == [4, 2]
         assert blk["falsification"]["passed"] is True
-        assert blk["minus"] is None          # nobody just below the cutoff
         assert blk["delta_bar_minus"] is None
+    windows = json.loads((tmp_path / "windows.json").read_text())
+    assert [(w["school"], w["regime"]) for w in windows] == \
+        [(4, r) for r in ("wpo", "wpo+umas", "spo", "spo+umas")]
+    for w in windows:
+        assert w["minus"] is None            # nobody just below the cutoff
     # deductions sharpen the plus side from vacuous to informative
     assert blocks["wpo"]["delta_bar_plus"] == 0.0
     assert blocks["wpo+umas"]["delta_bar_plus"] == pytest.approx(1 / 7)
@@ -433,35 +447,59 @@ def test_pairs_at_one_school_share_its_window(tmp_path, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, wrapper)
 
-    counted("window_qsets")
-    counted("local_obs")
-    counted("containment_stats")
+    for name in ("window_qsets", "local_obs", "containment_stats",
+                 "_side_payload", "build_polytope"):
+        counted(name)
     cfg = RunConfig(dgp=SHARED_WINDOW_DGP, seed=1, out_dir=str(tmp_path),
                     falsification_action="warn")
     manifest = run_pipeline(cfg)
     schools = Counter(j for j, _ in manifest["pairs"])
     assert max(schools.values()) >= 2
     n_windows = len(schools) * len(cfg.regimes)
-    # the qsets stage's candidate sets are the ones the analysis reads
+    # the qsets stage's candidate sets are the ones the analysis reads, and
+    # each window's rows and polytope are built once for all its pairs
     assert calls == {"window_qsets": n_windows, "local_obs": n_windows,
-                     "containment_stats": 2 * n_windows}
+                     "containment_stats": 2 * n_windows,
+                     "_side_payload": 2 * n_windows,
+                     "build_polytope": n_windows}
     monkeypatch.undo()
 
-    # every block equals a recomputation for its pair alone
     data = resolve_source(cfg)
     eco, cuts = data.economy, data.cutoffs
     umas = detect_umas(eco, cuts)
+
+    def recompute(school, label):
+        regime = regime_from_label(label)
+        sample = select_local_sample(eco, cuts, school, data.bandwidth)
+        plus, minus = collect_local_obs(eco, cuts, sample, regime,
+                                        umas if regime.umas else None)
+        return (sample, plus, minus, containment_stats(plus, "plus"),
+                containment_stats(minus, "minus"))
+
+    def side(stats, n_obs):
+        return {"n_obs": n_obs, "total_weight": stats.total,
+                "support": [sorted(map(list, a))
+                            for a in stats.family.members],
+                "rows": [{"set": sorted(map(list, a)), "prob": stats.prob(a)}
+                         for a in stats.family.closure]}
+
+    # one windows.json entry per (school, regime), equal to a recomputation
+    windows = json.loads((tmp_path / "windows.json").read_text())
+    assert [(w["school"], w["regime"]) for w in windows] == \
+        [(j, label) for j in sorted(schools) for label in cfg.regimes]
+    for w in windows:
+        sample, _, _, sp, sm = recompute(w["school"], w["regime"])
+        assert w["plus"] == side(sp, sample.n_plus)
+        assert w["minus"] == side(sm, sample.n_minus)
+
+    # every block equals a recomputation for its pair alone
     blocks = json.loads((tmp_path / "identify.json").read_text())
     assert len(blocks) == len(manifest["pairs"]) * len(cfg.regimes)
     shared_bounds = 0
     for blk in blocks:
+        assert "plus" not in blk and "minus" not in blk
         jk = tuple(blk["pair"])
-        regime = regime_from_label(blk["regime"])
-        sample = select_local_sample(eco, cuts, jk[0], data.bandwidth)
-        plus, minus = collect_local_obs(eco, cuts, sample, regime,
-                                        umas if regime.umas else None)
-        sp = containment_stats(plus, "plus")
-        sm = containment_stats(minus, "minus")
+        _, plus, minus, sp, sm = recompute(jk[0], blk["regime"])
         fals = falsification_test(sp, sm, eco.n_schools, pair=jk)
         assert [c["statistic"] for c in blk["falsification"]["checks"]] == \
             [c.statistic for c in fals.checks]
@@ -484,7 +522,7 @@ def test_stages_accumulate_artifacts(tmp_path, golden):
         "match": ("matching.csv", "cutoffs.csv"),
         "pairs": ("pairs.csv",),
         "qsets": ("qsets.csv",),
-        "identify": ("identify.json",),
+        "identify": ("windows.json", "identify.json"),
         "bounds": ("bounds.json",),
     }
     out = tmp_path / "out"
@@ -747,8 +785,9 @@ def test_ingest_without_outcomes_is_a_config_error(tmp_path, golden, capsys):
 # CLI flags and error paths
 
 
-def test_closure_cap_overrun_is_a_status(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path, closure_cap=1)
+def test_closure_cap_overrun_is_a_status(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(identify, "CLOSURE_CAP", 1)
+    cfg = _cfg_file(tmp_path)
     assert main(["bounds", "--config", str(cfg)]) in (0, 3)
     assert "skipped-closure-cap=4" in capsys.readouterr().out
     out = tmp_path / "out"
@@ -757,7 +796,9 @@ def test_closure_cap_overrun_is_a_status(tmp_path, capsys):
     for s in manifest["statuses"]:
         assert s["reason"] == "plus side: connected unions exceed cap 1"
     for blk in json.loads((out / "identify.json").read_text()):
-        assert blk["plus"] is None and blk["falsification"] is None
+        assert blk["falsification"] is None
+    for w in json.loads((out / "windows.json").read_text()):
+        assert w["plus"] is None and w["minus"] is None
     entries = json.loads((out / "bounds.json").read_text())
     assert len(entries) == 8
     assert all(e["lower"] is None and e["upper"] is None for e in entries)
